@@ -357,6 +357,7 @@ double seconds_of(const std::function<void()>& fn, int reps) {
 struct SmokeInstance {
   std::string name;
   std::function<BackendCase(const std::string&)> make_case;
+  std::vector<std::string> adversaries;
 };
 
 int run_json_smoke(const std::string& exe, const std::string& path) {
@@ -365,13 +366,18 @@ int run_json_smoke(const std::string& exe, const std::string& path) {
     std::cerr << "cannot write " << path << "\n";
     return 1;
   }
+  // The table instance also gates the state-reading strategies, which forge
+  // lane-batched through the table backend's state view.
   const std::vector<SmokeInstance> instances = {
       {"table1 n=4 f=1 c=2 |X|=3, 1 Byzantine (spread)",
-       [](const std::string& adv) { return table1_case(adv, 256, 512); }},
+       [](const std::string& adv) { return table1_case(adv, 256, 512); },
+       {"silent", "split", "mirror", "targeted-vote"}},
       {"boosted practical(f=2, C=10) N=12, 2 Byzantine (spread)",
-       [](const std::string& adv) { return boosted_case(adv, 64, 256); }},
+       [](const std::string& adv) { return boosted_case(adv, 64, 256); },
+       {"silent", "split"}},
       {"boosted practical(f=7, C=10) N=36, 7 Byzantine (spread)",
-       [](const std::string& adv) { return large_case(adv, 64, 64); }},
+       [](const std::string& adv) { return large_case(adv, 64, 64); },
+       {"silent", "split"}},
   };
   out << "{\n  \"instances\": [";
   bool first_instance = true;
@@ -383,7 +389,7 @@ int run_json_smoke(const std::string& exe, const std::string& path) {
         << ",\n     \"results\": [";
     std::cout << "=== " << inst.name << " ===\n";
     bool first = true;
-    for (const std::string adversary : {"silent", "split"}) {
+    for (const std::string& adversary : inst.adversaries) {
       const auto c = inst.make_case(adversary);
       const double nr = node_rounds(c);
       const double scalar_s = seconds_of([&c] { run_scalar_case(c); }, 3);

@@ -28,6 +28,37 @@ State raw_random_state(const CountingAlgorithm& algo, util::Rng& rng) {
   return raw;
 }
 
+// Profile geometry of a receiver-dependent strategy's forge_lanes_idx: one
+// profile per correct receiver, numbered in correct_ids order -- the
+// geometry of the default forge_block's nested (receiver, sender) loop. The
+// map only depends on the placement, so it is rebuilt only when the node
+// count changes.
+void per_receiver_profiles(std::span<const NodeId> correct_ids, std::size_t n, ForgedRound& out) {
+  out.num_profiles = static_cast<int>(correct_ids.size());
+  if (out.profile_of.size() == n) return;
+  out.profile_of.assign(n, 0);
+  for (std::size_t j = 0; j < correct_ids.size(); ++j) {
+    out.profile_of[static_cast<std::size_t>(correct_ids[j])] = static_cast<std::uint16_t>(j);
+  }
+}
+
+// The peer whose round-start state `sender` mirrors to `receiver`.
+NodeId mirror_victim(std::uint64_t round, NodeId sender, NodeId receiver, NodeId n) {
+  NodeId victim = static_cast<NodeId>((receiver + round) % static_cast<std::uint64_t>(n));
+  if (victim == sender) victim = (victim + 1) % n;
+  return victim;
+}
+
+// Slot of targeted-vote's shuffled pool (of `size` >= 1 harvested correct
+// states) that `receiver` is sent: receiver halves read from opposite ends.
+std::size_t targeted_slot(NodeId receiver, std::size_t size) {
+  const std::size_t half = size / 2;
+  const auto r = static_cast<std::size_t>(receiver);
+  const std::size_t slot = (r % 2 == 0) ? (r / 2) % std::max<std::size_t>(half, 1)
+                                        : half + (r / 2) % std::max<std::size_t>(size - half, 1);
+  return std::min(slot, size - 1);
+}
+
 // Measures how "agreed" a set of outputs is: the count of the most common
 // output value. Lower is worse for the system, so the lookahead adversary
 // minimises this.
@@ -113,31 +144,6 @@ void RandomAdversary::forge_block(std::uint64_t, std::span<const State> true_sta
   }
 }
 
-bool SplitAdversary::forge_block_idx(std::uint64_t /*round*/, std::span<const State> true_states,
-                                     const CountingAlgorithm& algo,
-                                     std::span<const NodeId> faulty_ids,
-                                     std::span<const NodeId> /*correct_ids*/, util::Rng& rng,
-                                     ForgedRound& out) {
-  if (!idx_guard(ig_, algo)) return false;
-  // Same two draws as begin_round (even, then odd), minus the State traffic.
-  const std::uint8_t even = raw_random_idx(ig_, rng);
-  const std::uint8_t odd = raw_random_idx(ig_, rng);
-  const std::size_t nf = faulty_ids.size();
-  out.num_profiles = 2;
-  out.idx.resize(2 * nf);
-  for (std::size_t k = 0; k < nf; ++k) {
-    out.idx[k] = even;
-    out.idx[nf + k] = odd;
-  }
-  if (out.profile_of.size() != true_states.size()) {
-    out.profile_of.resize(true_states.size());
-    for (std::size_t r = 0; r < out.profile_of.size(); ++r) {
-      out.profile_of[r] = static_cast<std::uint16_t>(r & 1);
-    }
-  }
-  return true;
-}
-
 bool SplitAdversary::forge_lanes_idx(std::uint64_t /*round*/, const CountingAlgorithm& algo,
                                      std::span<const NodeId> faulty_ids,
                                      std::span<const NodeId> correct_ids,
@@ -179,25 +185,6 @@ bool SplitAdversary::forge_lanes_idx(std::uint64_t /*round*/, const CountingAlgo
   return true;
 }
 
-bool RandomAdversary::forge_block_idx(std::uint64_t /*round*/, std::span<const State> true_states,
-                                      const CountingAlgorithm& algo,
-                                      std::span<const NodeId> faulty_ids,
-                                      std::span<const NodeId> correct_ids, util::Rng& rng,
-                                      ForgedRound& out) {
-  if (!idx_guard(ig_, algo)) return false;
-  const std::size_t nf = faulty_ids.size();
-  out.num_profiles = static_cast<int>(correct_ids.size());
-  out.idx.resize(correct_ids.size() * nf);
-  out.profile_of.assign(true_states.size(), 0);
-  for (std::size_t j = 0; j < correct_ids.size(); ++j) {
-    out.profile_of[static_cast<std::size_t>(correct_ids[j])] = static_cast<std::uint16_t>(j);
-    for (std::size_t k = 0; k < nf; ++k) {
-      out.idx[j * nf + k] = raw_random_idx(ig_, rng);
-    }
-  }
-  return true;
-}
-
 bool RandomAdversary::forge_lanes_idx(std::uint64_t /*round*/, const CountingAlgorithm& algo,
                                       std::span<const NodeId> faulty_ids,
                                       std::span<const NodeId> correct_ids,
@@ -208,14 +195,7 @@ bool RandomAdversary::forge_lanes_idx(std::uint64_t /*round*/, const CountingAlg
   const std::size_t nf = faulty_ids.size();
   const std::size_t L = rngs.size();
   const std::size_t slots = correct_ids.size() * nf;
-  const std::size_t n = faulty_ids.size() + correct_ids.size();
-  out.num_profiles = static_cast<int>(correct_ids.size());
-  if (out.profile_of.size() != n) {
-    out.profile_of.assign(n, 0);
-    for (std::size_t j = 0; j < correct_ids.size(); ++j) {
-      out.profile_of[static_cast<std::size_t>(correct_ids[j])] = static_cast<std::uint16_t>(j);
-    }
-  }
+  per_receiver_profiles(correct_ids, nf + correct_ids.size(), out);
   if (ig_.bits == 0) {
     std::fill(out_idx, out_idx + slots * L, std::uint8_t{0});
     return true;
@@ -245,9 +225,31 @@ State MirrorAdversary::message(std::uint64_t round, NodeId sender, NodeId receiv
   // Echo the round-start state of a rotating peer: a plausible, protocol-
   // consistent value that nevertheless differs per receiver.
   const auto n = static_cast<NodeId>(states.size());
-  NodeId victim = static_cast<NodeId>((receiver + round) % static_cast<std::uint64_t>(n));
-  if (victim == sender) victim = (victim + 1) % n;
-  return states[static_cast<std::size_t>(victim)];
+  return states[static_cast<std::size_t>(mirror_victim(round, sender, receiver, n))];
+}
+
+bool MirrorAdversary::forge_lanes_idx(std::uint64_t round, const CountingAlgorithm& /*algo*/,
+                                      std::span<const NodeId> faulty_ids,
+                                      std::span<const NodeId> correct_ids,
+                                      std::span<util::Rng> rngs,
+                                      std::span<const std::uint64_t> /*active*/,
+                                      std::uint8_t* out_idx, ForgedRound& out) {
+  const std::size_t nf = faulty_ids.size();
+  const std::size_t n = nf + correct_ids.size();
+  const std::size_t L = rngs.size();
+  if (out.state_idx.size() != n * L) return false;
+  per_receiver_profiles(correct_ids, n, out);
+  // The victim depends on the slot only, so each slot is the victim's whole
+  // view row -- inactive lanes included, which no consumer reads.
+  for (std::size_t j = 0; j < correct_ids.size(); ++j) {
+    for (std::size_t k = 0; k < nf; ++k) {
+      const NodeId victim =
+          mirror_victim(round, faulty_ids[k], correct_ids[j], static_cast<NodeId>(n));
+      std::copy_n(out.state_idx.data() + static_cast<std::size_t>(victim) * L, L,
+                  out_idx + (j * nf + k) * L);
+    }
+  }
+  return true;
 }
 
 void TargetedVoteAdversary::begin_round(std::uint64_t, std::span<const State> states,
@@ -270,14 +272,45 @@ State TargetedVoteAdversary::message(std::uint64_t, NodeId sender, NodeId receiv
                                      std::span<const State>, const CountingAlgorithm& algo,
                                      util::Rng& rng) {
   if (pool_.empty()) return random_state(algo, rng);
-  // Receiver halves get states from opposite ends of the shuffled pool.
-  const std::size_t half = pool_.size() / 2;
-  const std::size_t idx =
-      (receiver % 2 == 0) ? (static_cast<std::size_t>(receiver) / 2) % std::max<std::size_t>(half, 1)
-                          : half + (static_cast<std::size_t>(receiver) / 2) %
-                                       std::max<std::size_t>(pool_.size() - half, 1);
   (void)sender;
-  return pool_[std::min(idx, pool_.size() - 1)];
+  return pool_[targeted_slot(receiver, pool_.size())];
+}
+
+bool TargetedVoteAdversary::forge_lanes_idx(std::uint64_t /*round*/,
+                                            const CountingAlgorithm& /*algo*/,
+                                            std::span<const NodeId> faulty_ids,
+                                            std::span<const NodeId> correct_ids,
+                                            std::span<util::Rng> rngs,
+                                            std::span<const std::uint64_t> active,
+                                            std::uint8_t* out_idx, ForgedRound& out) {
+  const std::size_t nf = faulty_ids.size();
+  const std::size_t m = correct_ids.size();
+  const std::size_t L = rngs.size();
+  // An empty pool would take message()'s random fallback; decline instead.
+  if (m == 0 || out.state_idx.size() != (nf + m) * L) return false;
+  per_receiver_profiles(correct_ids, nf + m, out);
+  slot_.resize(m);
+  for (std::size_t j = 0; j < m; ++j) slot_[j] = targeted_slot(correct_ids[j], m);
+  lane_pool_.resize(m);
+  const std::uint8_t* view = out.state_idx.data();
+  for (std::size_t w = 0; w < active.size(); ++w) {
+    for (std::uint64_t bits = active[w]; bits; bits &= bits - 1) {
+      const std::size_t l = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      // begin_round's harvest (correct nodes in node order) and shuffle.
+      // std::shuffle's draws and swap positions depend only on the range
+      // length and the generator, so the index pool is permuted exactly like
+      // the State pool.
+      for (std::size_t c = 0; c < m; ++c) {
+        lane_pool_[c] = view[static_cast<std::size_t>(correct_ids[c]) * L + l];
+      }
+      std::shuffle(lane_pool_.begin(), lane_pool_.end(), rngs[l]);
+      for (std::size_t j = 0; j < m; ++j) {
+        const std::uint8_t v = lane_pool_[slot_[j]];
+        for (std::size_t k = 0; k < nf; ++k) out_idx[(j * nf + k) * L + l] = v;
+      }
+    }
+  }
+  return true;
 }
 
 LookaheadAdversary::LookaheadAdversary(int candidates, int sample_receivers)

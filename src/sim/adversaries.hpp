@@ -64,10 +64,6 @@ class RandomAdversary final : public Adversary {
                    const CountingAlgorithm& algo, std::span<const NodeId> faulty_ids,
                    std::span<const NodeId> correct_ids, util::Rng& rng,
                    ForgedRound& out) override;
-  bool forge_block_idx(std::uint64_t round, std::span<const State> true_states,
-                       const CountingAlgorithm& algo, std::span<const NodeId> faulty_ids,
-                       std::span<const NodeId> correct_ids, util::Rng& rng,
-                       ForgedRound& out) override;
   bool forge_lanes_idx(std::uint64_t round, const CountingAlgorithm& algo,
                        std::span<const NodeId> faulty_ids,
                        std::span<const NodeId> correct_ids, std::span<util::Rng> rngs,
@@ -95,10 +91,6 @@ class SplitAdversary final : public Adversary {
                    const CountingAlgorithm& algo, std::span<const NodeId> faulty_ids,
                    std::span<const NodeId> correct_ids, util::Rng& rng,
                    ForgedRound& out) override;
-  bool forge_block_idx(std::uint64_t round, std::span<const State> true_states,
-                       const CountingAlgorithm& algo, std::span<const NodeId> faulty_ids,
-                       std::span<const NodeId> correct_ids, util::Rng& rng,
-                       ForgedRound& out) override;
   bool forge_lanes_idx(std::uint64_t round, const CountingAlgorithm& algo,
                        std::span<const NodeId> faulty_ids,
                        std::span<const NodeId> correct_ids, std::span<util::Rng> rngs,
@@ -119,12 +111,16 @@ class MirrorAdversary final : public Adversary {
   State message(std::uint64_t round, NodeId sender, NodeId receiver,
                 std::span<const State> true_states, const CountingAlgorithm& algo,
                 util::Rng& rng) override;
+  // Reads the peers' states from the state view: one row copy per
+  // (receiver, sender) slot, no draws.
+  bool forge_lanes_idx(std::uint64_t round, const CountingAlgorithm& algo,
+                       std::span<const NodeId> faulty_ids,
+                       std::span<const NodeId> correct_ids, std::span<util::Rng> rngs,
+                       std::span<const std::uint64_t> active, std::uint8_t* out_idx,
+                       ForgedRound& out) override;
   bool begin_round_passive() const noexcept override { return true; }
   bool message_draw_free() const noexcept override { return true; }
   std::string name() const override { return "mirror"; }
-
- private:
-  std::vector<NodeId> correct_;
 };
 
 class TargetedVoteAdversary final : public Adversary {
@@ -135,6 +131,14 @@ class TargetedVoteAdversary final : public Adversary {
   State message(std::uint64_t round, NodeId sender, NodeId receiver,
                 std::span<const State> true_states, const CountingAlgorithm& algo,
                 util::Rng& rng) override;
+  // Per lane: harvests the correct nodes' indices from the state view and
+  // shuffles them with that lane's rng, drawing exactly as begin_round's
+  // shuffle of the State pool does.
+  bool forge_lanes_idx(std::uint64_t round, const CountingAlgorithm& algo,
+                       std::span<const NodeId> faulty_ids,
+                       std::span<const NodeId> correct_ids, std::span<util::Rng> rngs,
+                       std::span<const std::uint64_t> active, std::uint8_t* out_idx,
+                       ForgedRound& out) override;
   // message()'s random fallback only fires when pool_ is empty, which cannot
   // happen in a run (there is always at least one correct node to harvest).
   bool message_draw_free() const noexcept override { return true; }
@@ -142,6 +146,10 @@ class TargetedVoteAdversary final : public Adversary {
 
  private:
   std::vector<State> pool_;  // plausible states harvested from correct nodes
+  // forge_lanes_idx scratch: one lane's index pool, and the pool slot each
+  // correct receiver reads (lane-invariant).
+  std::vector<std::uint8_t> lane_pool_;
+  std::vector<std::size_t> slot_;
 };
 
 class LookaheadAdversary final : public Adversary {

@@ -49,6 +49,15 @@ struct ForgedRound {
   // `states` / `idx` is meaningful per call, depending on the entry point
   // that filled this ForgedRound.
   std::vector<std::uint8_t> idx;
+
+  // Input to Adversary::forge_lanes_idx, set by the caller: every node's
+  // round-start canonical state index, laid out [node * lanes + lane] like
+  // that entry point's out_idx (lanes = rngs.size()). Correct rows hold the
+  // lanes' current states; faulty rows hold each faulty node's fixed
+  // nominal state. Entries of inactive lanes are stale. The table backend
+  // provides the view only to adversaries that are not state_oblivious()
+  // and leaves it empty otherwise; no other entry point reads it.
+  std::span<const std::uint8_t> state_idx;
 };
 
 class Adversary {
@@ -90,9 +99,9 @@ class Adversary {
   // out.num_profiles / out.profile_of / out.idx -- drawing from `rng` in
   // exactly forge_block's order -- and returns true. The default returns
   // false (no index path); callers then fall back to forge_block and reduce
-  // the BitVec states themselves. Worth overriding only for draw-heavy
-  // strategies (split, random), where skipping the 256-bit state round-trip
-  // leaves the rng draws as the dominant per-lane cost.
+  // the BitVec states themselves. No built-in strategy overrides it: those
+  // with an index path implement the lane-batched forge_lanes_idx instead,
+  // which the table backend tries first.
   virtual bool forge_block_idx(std::uint64_t round, std::span<const State> true_states,
                                const CountingAlgorithm& algo,
                                std::span<const NodeId> faulty_ids,
@@ -107,12 +116,18 @@ class Adversary {
   // so cross-lane order is free) and write the canonical indices slot-major:
   // out_idx[(p * |faulty_ids| + k) * rngs.size() + l]. The lane-invariant
   // profile geometry (num_profiles, profile_of) is written to `out`;
-  // out.states / out.idx are not touched. Returns false when the strategy or
-  // algorithm does not admit the path -- only state-oblivious strategies
-  // with per-lane-stateless forging can override this, since it sees neither
-  // true_states nor the per-lane adversary instances. A false return must
-  // leave every rng untouched (the caller re-forges through the per-lane
-  // entry points). The default returns false.
+  // out.states / out.idx are not touched. correct_ids lists the correct
+  // nodes in increasing node order, as every runner does.
+  //
+  // The call runs on one adversary instance for the whole block and never
+  // sees true_states, so a strategy may implement it only if its forging
+  // keeps no per-lane state across rounds and it reads node states (if at
+  // all) only through the view out.state_idx -- which covers faulty
+  // senders' nominal states too. A state-reading strategy must decline when
+  // the view is absent (empty). Returns false when the strategy or algorithm
+  // does not admit the path; a false return must leave every rng untouched
+  // (the caller re-forges through the per-lane entry points). The default
+  // returns false.
   virtual bool forge_lanes_idx(std::uint64_t round, const CountingAlgorithm& algo,
                                std::span<const NodeId> faulty_ids,
                                std::span<const NodeId> correct_ids,
@@ -167,11 +182,16 @@ class Adversary {
  protected:
   Adversary() = default;
 
-  // Cached forge_block_idx admission check, keyed by the algorithm instance
-  // so the per-round fast path costs one pointer compare instead of two
-  // virtual queries. Overriders keep one of these per adversary; the batched
-  // runners hold the algorithm alive for the whole run, so the key cannot
-  // dangle mid-batch.
+  // Cached admission check for drawing random canonical indices, keyed by
+  // the algorithm instance so the per-round fast path costs one pointer
+  // compare instead of two virtual queries. Overriders keep one of these per
+  // adversary; the batched runners hold the algorithm alive for the whole
+  // run, so the key cannot dangle mid-batch. A draw-order-compatible
+  // uniform index is one next_u64() per state (exactly the chunk sequence
+  // of a raw arbitrary-state draw for state_bits <= 64), reduced like the
+  // table consumers reduce a raw pattern: low `bits` bits, then mod |X| --
+  // bits = ceil_log2(|X|) keeps 2^bits <= 2|X|, so the mod is a single
+  // conditional subtract. |X| = 1 (bits = 0) draws nothing.
   struct IdxGuard {
     const CountingAlgorithm* algo = nullptr;
     bool ok = false;           // index path admissible for this algorithm
@@ -184,18 +204,6 @@ class Adversary {
   // space is enumerable with |X| <= 256 and state_bits <= 64 (one raw draw
   // chunk, so the idx path's rng sequence matches raw_random_state's).
   static bool idx_guard(IdxGuard& g, const CountingAlgorithm& algo);
-
-  // Draw-order-compatible uniform canonical index: one next_u64() per state
-  // (exactly the chunk sequence of a raw arbitrary-state draw for
-  // state_bits <= 64), reduced like the table consumers reduce a raw
-  // pattern -- low `bits` bits, then mod |X|. bits = ceil_log2(|X|) keeps
-  // 2^bits <= 2|X|, so the mod is a single conditional subtract.
-  static std::uint8_t raw_random_idx(const IdxGuard& g, util::Rng& rng) noexcept {
-    if (g.bits == 0) return 0;  // |X| = 1: the raw draw has no chunks
-    std::uint64_t v = rng.next_u64() & g.mask;
-    v -= g.ns & -static_cast<std::uint64_t>(v >= g.ns);  // branchless v %= |X|
-    return static_cast<std::uint8_t>(v);
-  }
 };
 
 }  // namespace synccount::sim

@@ -45,6 +45,11 @@ using counting::NodeId;
 constexpr std::size_t kLanesPerWord = 64;
 
 #if defined(__x86_64__)
+bool have_avx2() noexcept {
+  static const bool avx2 = __builtin_cpu_supports("avx2");
+  return avx2;
+}
+
 // Transposes 64 contiguous 2-bit state indices (one byte each) into a pair of
 // bitplane words via byte-lane movemask: shifting bit b of each byte to the
 // byte's MSB and taking VPMOVMSKB yields 32 plane bits per vector. Cross-byte
@@ -66,14 +71,38 @@ __attribute__((target("avx2"))) inline void planes_from_bytes_avx2(const std::ui
   b0 = static_cast<std::uint64_t>(l0) | (static_cast<std::uint64_t>(h0) << 32);
   b1 = static_cast<std::uint64_t>(l1) | (static_cast<std::uint64_t>(h1) << 32);
 }
+
+// 32 bytes, byte k = 0xFF iff bit k of `plane` is set: broadcast the dword,
+// route its byte k/8 to byte k (the in-lane shuffle works because both
+// 128-bit lanes hold the whole dword), then test bit k%8.
+__attribute__((target("avx2"))) inline __m256i byte_masks_avx2(std::uint32_t plane) {
+  const __m256i route = _mm256_setr_epi8(0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2,
+                                         2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3);
+  const __m256i bit = _mm256_set1_epi64x(static_cast<long long>(0x8040201008040201ULL));
+  const __m256i v = _mm256_shuffle_epi8(_mm256_set1_epi32(static_cast<int>(plane)), route);
+  return _mm256_cmpeq_epi8(_mm256_and_si256(v, bit), bit);
+}
+
+// Inverse of planes_from_bytes_avx2: a pair of bitplane words back to 64
+// contiguous state-index bytes.
+__attribute__((target("avx2"))) inline void bytes_from_planes_avx2(std::uint64_t b0,
+                                                                   std::uint64_t b1,
+                                                                   std::uint8_t* dst) {
+  for (int h = 0; h < 2; ++h) {
+    const __m256i lo = byte_masks_avx2(static_cast<std::uint32_t>(b0 >> (32 * h)));
+    const __m256i hi = byte_masks_avx2(static_cast<std::uint32_t>(b1 >> (32 * h)));
+    const __m256i v = _mm256_or_si256(_mm256_and_si256(lo, _mm256_set1_epi8(1)),
+                                      _mm256_and_si256(hi, _mm256_set1_epi8(2)));
+    std::memcpy(dst + 32 * h, &v, sizeof(v));
+  }
+}
 #endif
 
 // Portable transpose of `count` (<= 64) state-index bytes into bitplanes.
 inline void planes_from_bytes(const std::uint8_t* src, std::size_t count, std::uint64_t& b0,
                               std::uint64_t& b1) noexcept {
 #if defined(__x86_64__)
-  static const bool kHaveAvx2 = __builtin_cpu_supports("avx2");
-  if (kHaveAvx2 && count == kLanesPerWord) {
+  if (have_avx2() && count == kLanesPerWord) {
     planes_from_bytes_avx2(src, b0, b1);
     return;
   }
@@ -84,6 +113,20 @@ inline void planes_from_bytes(const std::uint8_t* src, std::size_t count, std::u
     const auto v = static_cast<std::uint64_t>(src[b]);
     b0 |= (v & 1) << b;
     b1 |= ((v >> 1) & 1) << b;
+  }
+}
+
+// Portable inverse: `count` (<= 64) state-index bytes from a bitplane pair.
+inline void bytes_from_planes(std::uint64_t b0, std::uint64_t b1, std::size_t count,
+                              std::uint8_t* dst) noexcept {
+#if defined(__x86_64__)
+  if (have_avx2() && count == kLanesPerWord) {
+    bytes_from_planes_avx2(b0, b1, dst);
+    return;
+  }
+#endif
+  for (std::size_t b = 0; b < count; ++b) {
+    dst[b] = static_cast<std::uint8_t>(((b0 >> b) & 1) | (((b1 >> b) & 1) << 1));
   }
 }
 
@@ -193,6 +236,17 @@ class Block {
     faultless_ = faulty_ids_.empty();
     const Adversary& probe = *advs_.front();
     state_oblivious_ = probe.state_oblivious();
+    // State-reading adversaries forge lane-batched from a view of every
+    // node's state index (ForgedRound::state_idx). The SoA rows are that
+    // view; the bit-sliced kernel keeps a byte copy whose faulty rows never
+    // change and whose correct rows are transposed before each forge.
+    if (!state_oblivious_) {
+      if (bit_sliced_) {
+        sidx_.assign(nn * W_, 0);
+        for (const NodeId i : faulty_ids_) view_row_from_planes(i);
+      }
+      frs_.front().state_idx = bit_sliced_ ? sidx_ : cur_;
+    }
     // Skipping a no-op begin_round or re-forging an execution-constant
     // message has no observable effect, so these stay bit-identical to the
     // scalar runner while eliding most per-lane virtual dispatch.
@@ -379,12 +433,16 @@ class Block {
 
   // Forges the round for every lane still in active_. Tries the lane-batched
   // index entry point first -- one virtual call and one flat slot-major index
-  // buffer for the whole block -- and falls back to the per-lane entry points
-  // (idx, then full forge_block) the first time the adversary declines.
+  // buffer for the whole block, plus the state view for state-reading
+  // adversaries -- and falls back to the per-lane entry points (idx, then
+  // full forge_block) the first time the adversary declines.
   void forge_lanes(std::uint64_t round) {
     const std::size_t nf = faulty_ids_.size();
     if (lanes_batched_) {
       if (fidx_.empty()) fidx_.assign(correct_.size() * nf * W_, 0);
+      if (!sidx_.empty()) {
+        for (const NodeId i : correct_) view_row_from_planes(i);
+      }
       ForgedRound& fr = frs_.front();
       if (advs_.front()->forge_lanes_idx(round, algo_, faulty_ids_, correct_,
                                          std::span<util::Rng>(rngs_),
@@ -462,6 +520,18 @@ class Block {
         fpp_[s][0][w] = b0;
         fpp_[s][1][w] = b1;
       }
+    }
+  }
+
+  // Transposes node i's bitplanes into its row of the bit-sliced state view
+  // (every lane; inactive lanes carry stale values nobody reads).
+  void view_row_from_planes(NodeId i) noexcept {
+    const auto& p = p_[static_cast<std::size_t>(i)];
+    std::uint8_t* row = sidx_.data() + static_cast<std::size_t>(i) * W_;
+    for (int w = 0; w < NW; ++w) {
+      const std::size_t base = static_cast<std::size_t>(w) * kLanesPerWord;
+      if (base >= W_) break;
+      bytes_from_planes(p[0][w], p[1][w], std::min(kLanesPerWord, W_ - base), row + base);
     }
   }
 
@@ -617,9 +687,11 @@ class Block {
   std::vector<ForgedRound> frs_;  // per-lane forgery scratch (persists across rounds)
 
   // Lane-batched forging: the slot-major [slot * W + lane] index buffer the
-  // adversary fills, and whether the lane-batched entry point is still worth
-  // trying (cleared on its first decline).
+  // adversary fills, the bit-sliced kernel's [node * W + lane] state view
+  // (empty unless the adversary reads states), and whether the lane-batched
+  // entry point is still worth trying (cleared on its first decline).
   std::vector<std::uint8_t> fidx_;
+  std::vector<std::uint8_t> sidx_;
   bool lanes_batched_ = true;
 
   // This round's profile geometry (persists across rounds for static

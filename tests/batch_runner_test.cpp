@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "counting/table_algorithm.hpp"
+#include "sim/adversaries.hpp"
 #include "sim/batch_runner.hpp"
 #include "sim/engine.hpp"
 #include "sim/faults.hpp"
@@ -54,6 +55,23 @@ TablePtr wide_table() {
   for (std::size_t i = 0; i < t.g.size(); ++i) t.g[i] = static_cast<std::uint8_t>((i * 7 + 3) % 5);
   t.h = {0, 1, 0, 1, 1};
   t.label = "wide-test";
+  return std::make_shared<counting::TableAlgorithm>(std::move(t));
+}
+
+// Two faults (n = 5, f = 2): mirror then also echoes one faulty sender's
+// nominal state through the other, so forging reads the state view's faulty
+// rows. Behaviour is arbitrary, as above.
+TablePtr two_fault_table() {
+  counting::TransitionTable t;
+  t.n = 5;
+  t.f = 2;
+  t.num_states = 3;
+  t.modulus = 3;
+  t.symmetry = counting::Symmetry::kUniform;
+  t.g.resize(243);
+  for (std::size_t i = 0; i < t.g.size(); ++i) t.g[i] = static_cast<std::uint8_t>((i * 11 + 4) % 3);
+  t.h = {0, 1, 2};
+  t.label = "two-fault-test";
   return std::make_shared<counting::TableAlgorithm>(std::move(t));
 }
 
@@ -178,11 +196,12 @@ TEST(BatchRunner, WidthsDoNotChangeResults) {
 
 TEST(BatchRunner, MultiWordWidthsMatchScalar) {
   // Lane counts past one 64-bit word (65, 128, 257, 511) at every plane
-  // width (1/2/4/8 words plus auto): the multi-word kernel and the
-  // lane-batched adversary forging must stay bit-identical to run_execution
-  // regardless of how many executions share a table pass. 511 = 7 words + a
-  // 63-lane tail under words=8's block size; 65 and 257 leave one lane in
-  // the last plane word.
+  // width (1/2/4/8 words plus auto) on both kernels: the multi-word kernel
+  // and the lane-batched adversary forging -- draw-only (split, random) and
+  // state-reading through the state view (mirror, targeted-vote) -- must
+  // stay bit-identical to run_execution regardless of how many executions
+  // share a table pass. 511 = 7 words + a 63-lane tail under words=8's block
+  // size; 65 and 257 leave one lane in the last plane word.
   const auto algo = table3();
   RunOpts opt;
   opt.faulty = sim::faults_spread(4, 1);
@@ -190,24 +209,78 @@ TEST(BatchRunner, MultiWordWidthsMatchScalar) {
   std::vector<std::uint64_t> seeds(511);
   for (std::size_t i = 0; i < seeds.size(); ++i) seeds[i] = 0xC000 + i * 13;
 
-  for (const std::string adv : {"split", "random"}) {
+  for (const std::string adv : {"split", "random", "mirror", "targeted-vote"}) {
     std::vector<sim::RunResult> reference;
     reference.reserve(seeds.size());
     for (const auto s : seeds) reference.push_back(scalar_run(algo, adv, s, opt));
-    for (const std::size_t width : {std::size_t{65}, std::size_t{128}, std::size_t{257},
-                                    std::size_t{511}}) {
-      const std::vector<std::uint64_t> sub(seeds.begin(), seeds.begin() + width);
-      for (const int words : {0, 1, 2, 4, 8}) {
-        const auto batch = batch_run(algo, adv, sub, opt, sim::BatchKernel::kAuto, words);
-        ASSERT_EQ(batch.size(), width);
-        for (std::size_t i = 0; i < width; ++i) {
-          expect_same_run(batch[i], reference[i],
-                          adv + "/width=" + std::to_string(width) +
-                              "/words=" + std::to_string(words) +
-                              "/seed=" + std::to_string(sub[i]));
+    for (const auto kernel : {sim::BatchKernel::kBitSliced, sim::BatchKernel::kSoA}) {
+      const std::string kname = kernel == sim::BatchKernel::kSoA ? "/soa" : "/bitsliced";
+      for (const std::size_t width : {std::size_t{65}, std::size_t{128}, std::size_t{257},
+                                      std::size_t{511}}) {
+        const std::vector<std::uint64_t> sub(seeds.begin(), seeds.begin() + width);
+        for (const int words : {0, 1, 2, 4, 8}) {
+          const auto batch = batch_run(algo, adv, sub, opt, kernel, words);
+          ASSERT_EQ(batch.size(), width);
+          for (std::size_t i = 0; i < width; ++i) {
+            expect_same_run(batch[i], reference[i],
+                            adv + kname + "/width=" + std::to_string(width) +
+                                "/words=" + std::to_string(words) +
+                                "/seed=" + std::to_string(sub[i]));
+          }
         }
       }
     }
+  }
+}
+
+TEST(BatchRunner, StateViewCarriesFaultyNominalStates) {
+  // 70 lanes: one full plane word (the AVX2 transpose) plus a 6-lane tail
+  // (the portable one), on both kernels.
+  const auto algo = two_fault_table();
+  RunOpts opt;
+  opt.faulty = sim::faults_spread(5, 2);
+  opt.max_rounds = 60;
+  std::vector<std::uint64_t> seeds(70);
+  for (std::size_t i = 0; i < seeds.size(); ++i) seeds[i] = 0xD000 + i * 7;
+  for (const std::string adv : {"mirror", "targeted-vote"}) {
+    for (const auto kernel : {sim::BatchKernel::kBitSliced, sim::BatchKernel::kSoA}) {
+      const auto batch = batch_run(algo, adv, seeds, opt, kernel);
+      ASSERT_EQ(batch.size(), seeds.size());
+      for (std::size_t i = 0; i < seeds.size(); ++i) {
+        expect_same_run(batch[i], scalar_run(algo, adv, seeds[i], opt),
+                        adv + (kernel == sim::BatchKernel::kSoA ? "/soa" : "/bitsliced") +
+                            "/seed=" + std::to_string(seeds[i]));
+      }
+    }
+  }
+}
+
+TEST(BatchRunner, StateReadingForgersDeclineWithoutStateView) {
+  // mirror and targeted-vote read node states only through
+  // ForgedRound::state_idx. Without it (empty, as for a caller that does not
+  // provide one) the lane-batched entry point must decline and leave every
+  // lane's rng untouched: the table backend then re-forges each lane through
+  // the per-lane entry points from the same streams.
+  const auto algo = table3();
+  const std::vector<counting::NodeId> faulty_ids = {1};
+  const std::vector<counting::NodeId> correct_ids = {0, 2, 3};
+  constexpr std::size_t kLanes = 70;  // two active words, a partial second one
+  const std::vector<std::uint64_t> active = {~0ULL, (1ULL << (kLanes - 64)) - 1};
+  for (const std::string adv_name : {"mirror", "targeted-vote"}) {
+    const auto adv = sim::make_adversary(adv_name);
+    std::vector<util::Rng> rngs;
+    for (std::size_t l = 0; l < kLanes; ++l) rngs.emplace_back(0xF00D + l);
+    const std::vector<util::Rng> before = rngs;
+    std::vector<std::uint8_t> out_idx(correct_ids.size() * faulty_ids.size() * kLanes, 0xAB);
+    sim::ForgedRound fr;
+    EXPECT_FALSE(adv->forge_lanes_idx(3, *algo, faulty_ids, correct_ids, rngs, active,
+                                      out_idx.data(), fr))
+        << adv_name;
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      util::Rng untouched = before[l];
+      EXPECT_EQ(rngs[l].next_u64(), untouched.next_u64()) << adv_name << "/lane=" << l;
+    }
+    EXPECT_EQ(out_idx, std::vector<std::uint8_t>(out_idx.size(), 0xAB)) << adv_name;
   }
 }
 
