@@ -45,11 +45,6 @@ using counting::NodeId;
 constexpr std::size_t kLanesPerWord = 64;
 
 #if defined(__x86_64__)
-bool have_avx2() noexcept {
-  static const bool avx2 = __builtin_cpu_supports("avx2");
-  return avx2;
-}
-
 // Transposes 64 contiguous 2-bit state indices (one byte each) into a pair of
 // bitplane words via byte-lane movemask: shifting bit b of each byte to the
 // byte's MSB and taking VPMOVMSKB yields 32 plane bits per vector. Cross-byte
@@ -71,38 +66,14 @@ __attribute__((target("avx2"))) inline void planes_from_bytes_avx2(const std::ui
   b0 = static_cast<std::uint64_t>(l0) | (static_cast<std::uint64_t>(h0) << 32);
   b1 = static_cast<std::uint64_t>(l1) | (static_cast<std::uint64_t>(h1) << 32);
 }
-
-// 32 bytes, byte k = 0xFF iff bit k of `plane` is set: broadcast the dword,
-// route its byte k/8 to byte k (the in-lane shuffle works because both
-// 128-bit lanes hold the whole dword), then test bit k%8.
-__attribute__((target("avx2"))) inline __m256i byte_masks_avx2(std::uint32_t plane) {
-  const __m256i route = _mm256_setr_epi8(0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2,
-                                         2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3);
-  const __m256i bit = _mm256_set1_epi64x(static_cast<long long>(0x8040201008040201ULL));
-  const __m256i v = _mm256_shuffle_epi8(_mm256_set1_epi32(static_cast<int>(plane)), route);
-  return _mm256_cmpeq_epi8(_mm256_and_si256(v, bit), bit);
-}
-
-// Inverse of planes_from_bytes_avx2: a pair of bitplane words back to 64
-// contiguous state-index bytes.
-__attribute__((target("avx2"))) inline void bytes_from_planes_avx2(std::uint64_t b0,
-                                                                   std::uint64_t b1,
-                                                                   std::uint8_t* dst) {
-  for (int h = 0; h < 2; ++h) {
-    const __m256i lo = byte_masks_avx2(static_cast<std::uint32_t>(b0 >> (32 * h)));
-    const __m256i hi = byte_masks_avx2(static_cast<std::uint32_t>(b1 >> (32 * h)));
-    const __m256i v = _mm256_or_si256(_mm256_and_si256(lo, _mm256_set1_epi8(1)),
-                                      _mm256_and_si256(hi, _mm256_set1_epi8(2)));
-    std::memcpy(dst + 32 * h, &v, sizeof(v));
-  }
-}
 #endif
 
 // Portable transpose of `count` (<= 64) state-index bytes into bitplanes.
 inline void planes_from_bytes(const std::uint8_t* src, std::size_t count, std::uint64_t& b0,
                               std::uint64_t& b1) noexcept {
 #if defined(__x86_64__)
-  if (have_avx2() && count == kLanesPerWord) {
+  static const bool kHaveAvx2 = __builtin_cpu_supports("avx2");
+  if (kHaveAvx2 && count == kLanesPerWord) {
     planes_from_bytes_avx2(src, b0, b1);
     return;
   }
@@ -116,15 +87,9 @@ inline void planes_from_bytes(const std::uint8_t* src, std::size_t count, std::u
   }
 }
 
-// Portable inverse: `count` (<= 64) state-index bytes from a bitplane pair.
+// Inverse transpose: `count` (<= 64) state-index bytes from a bitplane pair.
 inline void bytes_from_planes(std::uint64_t b0, std::uint64_t b1, std::size_t count,
                               std::uint8_t* dst) noexcept {
-#if defined(__x86_64__)
-  if (have_avx2() && count == kLanesPerWord) {
-    bytes_from_planes_avx2(b0, b1, dst);
-    return;
-  }
-#endif
   for (std::size_t b = 0; b < count; ++b) {
     dst[b] = static_cast<std::uint8_t>(((b0 >> b) & 1) | (((b1 >> b) & 1) << 1));
   }
@@ -463,9 +428,9 @@ class Block {
                               static_cast<std::size_t>(std::countr_zero(m));
         if (!state_oblivious_) refresh_states(l);
         ForgedRound& fr = frs_[l];
-        // Index fast path first: draw-heavy strategies fill canonical
-        // indices directly, skipping the 256-bit State round-trip that
-        // otherwise dominates the per-lane forging cost.
+        // Per-lane index path first, for strategies that fill canonical
+        // indices directly; otherwise forge_block's State profiles are
+        // reduced below.
         const bool idx_path = advs_[l]->forge_block_idx(round, lanes_[l].states, algo_,
                                                         faulty_ids_, correct_, rngs_[l], fr);
         if (!idx_path) {

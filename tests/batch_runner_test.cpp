@@ -165,6 +165,8 @@ TEST(BatchRunner, MatchesScalarAcrossAdversariesPlacementsAndKernels) {
 TEST(BatchRunner, WidthsDoNotChangeResults) {
   // Lanes stabilise (and early-exit) at different rounds within one batch;
   // widths 1, 7, 64 and 100 cover partial words and multi-block batches.
+  // The lane-batched forgers must then skip the lanes that stopped: random
+  // draws, mirror and targeted-vote also read the state view.
   const auto algo = table3();
   RunOpts opt;
   opt.faulty = sim::faults_spread(4, 1);
@@ -173,23 +175,25 @@ TEST(BatchRunner, WidthsDoNotChangeResults) {
   std::vector<std::uint64_t> seeds(100);
   for (std::size_t i = 0; i < seeds.size(); ++i) seeds[i] = 0xB000 + i * 17;
 
-  std::vector<sim::RunResult> reference;
-  for (const auto s : seeds) reference.push_back(scalar_run(algo, "random", s, opt));
+  for (const std::string adv : {"random", "mirror", "targeted-vote"}) {
+    std::vector<sim::RunResult> reference;
+    for (const auto s : seeds) reference.push_back(scalar_run(algo, adv, s, opt));
 
-  for (const std::size_t width : {std::size_t{1}, std::size_t{7}, std::size_t{64},
-                                  std::size_t{100}}) {
-    const std::vector<std::uint64_t> sub(seeds.begin(), seeds.begin() + width);
-    const auto batch = batch_run(algo, "random", sub, opt);
-    ASSERT_EQ(batch.size(), width);
-    std::uint64_t distinct_rounds = 0;
-    for (std::size_t i = 0; i < width; ++i) {
-      expect_same_run(batch[i], reference[i], "width=" + std::to_string(width) +
-                                                  "/seed=" + std::to_string(sub[i]));
-      if (i > 0 && batch[i].rounds != batch[0].rounds) ++distinct_rounds;
-    }
-    if (width >= 64) {
-      EXPECT_GT(distinct_rounds, 0u)
-          << "expected lanes to early-exit at different rounds";
+    for (const std::size_t width : {std::size_t{1}, std::size_t{7}, std::size_t{64},
+                                    std::size_t{100}}) {
+      const std::vector<std::uint64_t> sub(seeds.begin(), seeds.begin() + width);
+      const auto batch = batch_run(algo, adv, sub, opt);
+      ASSERT_EQ(batch.size(), width);
+      std::uint64_t distinct_rounds = 0;
+      for (std::size_t i = 0; i < width; ++i) {
+        expect_same_run(batch[i], reference[i], adv + "/width=" + std::to_string(width) +
+                                                    "/seed=" + std::to_string(sub[i]));
+        if (i > 0 && batch[i].rounds != batch[0].rounds) ++distinct_rounds;
+      }
+      if (width >= 64) {
+        EXPECT_GT(distinct_rounds, 0u)
+            << adv << ": expected lanes to early-exit at different rounds";
+      }
     }
   }
 }
@@ -234,8 +238,7 @@ TEST(BatchRunner, MultiWordWidthsMatchScalar) {
 }
 
 TEST(BatchRunner, StateViewCarriesFaultyNominalStates) {
-  // 70 lanes: one full plane word (the AVX2 transpose) plus a 6-lane tail
-  // (the portable one), on both kernels.
+  // 70 lanes: one full plane word plus a 6-lane tail, on both kernels.
   const auto algo = two_fault_table();
   RunOpts opt;
   opt.faulty = sim::faults_spread(5, 2);
