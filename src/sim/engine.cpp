@@ -209,11 +209,6 @@ ExperimentResult Engine::run(const ExperimentSpec& spec, const ShardPlan& shard,
     cell.result = run_execution(cfg, *adversary, spec.margin);
   };
 
-  // Ordered sink delivery: a group is delivered (cells in cell order, then
-  // the group aggregate) once it and every group before it in the shard has
-  // finished -- so streaming sinks observe a deterministic prefix no matter
-  // which threads finish first. One thread delivers at a time; sinks need
-  // not be thread-safe.
   const std::size_t n_groups = shard.groups();
 
   // Always-on per-group profiling counters (sim/profile.hpp): backend tag +
@@ -237,30 +232,50 @@ ExperimentResult Engine::run(const ExperimentSpec& spec, const ShardPlan& shard,
     return r.rounds * static_cast<std::uint64_t>(r.correct_ids.size());
   };
 
-  std::mutex sink_mu;
+  // Ordered delivery, streamed during the run: a group is folded into
+  // out.groups -- and handed to the sinks, its cells in cell order, then the
+  // group aggregate -- once it and every group before it in the shard has
+  // finished, so streaming sinks observe a deterministic prefix no matter
+  // which threads finish first. A finishing task only updates the counts
+  // under sink_mu; the first one to find the next group complete while
+  // nobody is delivering becomes the deliverer and works outside the lock,
+  // group after group, until the next group is incomplete. One thread
+  // delivers at a time (sinks need not be thread-safe) while the others
+  // keep computing. A sink exception leaves `delivering` set, so nothing is
+  // delivered after it.
+  out.groups.resize(n_groups);
+  const auto deliver = [&](std::size_t local_group) {
+    AggregateResult agg(spec.stats);
+    const std::size_t first = local_group * n_seeds;
+    for (std::size_t k = 0; k < n_seeds; ++k) {
+      CellOutcome& cell = out.cells[first + k];
+      for (Sink* sink : sinks) sink->on_cell(cell);
+      agg.fold(cell.result);
+      if ((rec_outputs || rec_states) && !retain) {
+        cell.result.outputs = {};
+        cell.result.states = {};
+      }
+    }
+    for (Sink* sink : sinks) sink->on_group(shard.group_begin + local_group, agg);
+    out.groups[local_group] = std::move(agg);
+  };
+  std::mutex sink_mu;  // guards the three below
   std::vector<std::size_t> cells_pending(n_groups, n_seeds);
   std::size_t next_delivery = 0;  // local group index
+  bool delivering = false;
   const auto group_finished = [&](std::size_t local_group, std::size_t count) {
-    if (sinks.empty()) return;
-    const std::lock_guard<std::mutex> lock(sink_mu);
+    std::unique_lock<std::mutex> lock(sink_mu);
     cells_pending[local_group] -= count;
+    if (delivering) return;
+    delivering = true;
     while (next_delivery < n_groups && cells_pending[next_delivery] == 0) {
-      const std::size_t first = next_delivery * n_seeds;
-      AggregateResult agg(spec.stats);
-      for (std::size_t k = 0; k < n_seeds; ++k) {
-        CellOutcome& cell = out.cells[first + k];
-        for (Sink* sink : sinks) sink->on_cell(cell);
-        agg.fold(cell.result);
-        if ((rec_outputs || rec_states) && !retain) {
-          cell.result.outputs = {};
-          cell.result.states = {};
-        }
-      }
-      for (Sink* sink : sinks) {
-        sink->on_group(shard.group_begin + next_delivery, agg);
-      }
+      const std::size_t lg = next_delivery;
+      lock.unlock();
+      deliver(lg);
+      lock.lock();
       ++next_delivery;
     }
+    delivering = false;
   };
 
   // Batch eligibility: a shared batch-supported algorithm (TableAlgorithm or
@@ -372,20 +387,15 @@ ExperimentResult Engine::run(const ExperimentSpec& spec, const ShardPlan& shard,
     out.profiles[lg].nanos = prof_nanos[lg].load(std::memory_order_relaxed);
   }
 
-  // Deterministic fold, independent of which thread ran what: per-group
-  // aggregates in group order, merged in group order. For exact mode this is
+  // The total is the group-order merge of the delivered group aggregates,
+  // independent of which thread ran what. For exact mode this is
   // bit-identical to the flat cell-order fold (merge replays samples); for
   // sketch mode it IS the defined fold order -- the same left-fold over
   // group aggregates the wire-level sharded paths use (ShardPartial::total,
   // merge_partials), which is what makes a merged sharded sweep byte-compare
   // equal to a single-process run.
   out.total = AggregateResult(spec.stats);
-  for (std::size_t lg = 0; lg < n_groups; ++lg) {
-    AggregateResult agg(spec.stats);
-    const std::size_t first = lg * n_seeds;
-    for (std::size_t k = 0; k < n_seeds; ++k) agg.fold(out.cells[first + k].result);
-    out.total.merge(agg);
-  }
+  for (const AggregateResult& agg : out.groups) out.total.merge(agg);
   for (Sink* sink : sinks) sink->on_done(out);
   return out;
 }

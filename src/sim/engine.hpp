@@ -3,9 +3,10 @@
 // Every empirical claim in the paper is a statistic over many executions --
 // seeds x fault placements x adversaries. The engine is the one place that
 // owns that loop: an ExperimentSpec describes the grid, Engine::run fans the
-// cells out over a work-stealing thread pool, and the per-cell RunResults are
-// folded into AggregateResults in a fixed cell order, so the aggregate is
-// bit-identical for any thread count.
+// cells out over a thread pool, starting them in grid order, and the
+// per-cell RunResults are folded into AggregateResults in a fixed cell order,
+// one group at a time as groups complete, so the aggregate is bit-identical
+// for any thread count.
 //
 // Layering: run_execution (runner.hpp) stays the single-run kernel; the
 // engine composes it. Benches, tests and the CLI sit on the engine instead
@@ -229,7 +230,7 @@ struct ExperimentResult {
   // cells (coordinates and seeds stay global, so a cell computes identically
   // whichever shard runs it).
   std::vector<CellOutcome> cells;
-  AggregateResult total;  // fold of `cells` in cell order (a shard partial)
+  AggregateResult total;  // group-order merge of `groups` (a shard partial)
   double wall_seconds = 0.0;
   std::uint64_t batched_cells = 0;  // cells that ran on the batched backend
   util::StatsMode stats = util::StatsMode::kExact;  // spec.stats of the run
@@ -240,7 +241,13 @@ struct ExperimentResult {
   // RMWs per task.
   std::vector<GroupProfile> profiles;
 
-  // Re-fold a slice of the grid, e.g. one (adversary, placement) pair.
+  // One entry per (adversary, placement) group of the shard, in group order:
+  // the fold of the group's cells in cell order, made once as the group is
+  // delivered. Empty only in results assembled by hand.
+  std::vector<AggregateResult> groups;
+
+  // Re-fold a slice of the grid, e.g. one (adversary, placement) pair. For
+  // a single group, `groups` already holds the same aggregate.
   AggregateResult aggregate(std::optional<std::size_t> adversary,
                             std::optional<std::size_t> placement = std::nullopt) const;
 };

@@ -476,11 +476,16 @@ ShardPartial make_partial(const ExperimentSpec& spec, const ShardPlan& plan,
   partial.spec = experiment_spec_to_json(spec);
   derive_grid(partial);
   SC_CHECK(plan.group_end <= grid_groups(partial), "shard plan does not fit the grid");
+  SC_CHECK(result.groups.empty() || result.groups.size() == plan.groups(),
+           "result does not cover the shard's groups");
   const std::size_t n_pl = partial.placement_names.size();
   for (std::size_t g = plan.group_begin; g < plan.group_end; ++g) {
     ShardPartial::Group group;
     group.group = g;
-    group.aggregate = result.aggregate(g / n_pl, g % n_pl);
+    // Engine::run folded each group once; only a result assembled by hand
+    // (without `groups`) is re-folded from its cells.
+    group.aggregate = result.groups.empty() ? result.aggregate(g / n_pl, g % n_pl)
+                                            : result.groups[g - plan.group_begin];
     SC_CHECK(group.aggregate.runs == static_cast<std::uint64_t>(partial.seeds),
              "result does not cover the shard's cells");
     partial.groups.push_back(std::move(group));

@@ -109,13 +109,18 @@ void ThreadPool::parallel_for(std::size_t count, const std::function<void(std::s
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
-  // One task per index: cells vary wildly in cost (different horizons and
-  // adversaries), so fine-grained tasks plus stealing beat static chunking.
+  // One runner per worker, each claiming the next index from a shared
+  // counter: iterations start in increasing index order, and a runner that
+  // finishes early simply claims more, so uneven cell costs still balance.
+  std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
-  for (std::size_t i = 0; i < count; ++i) {
-    submit([&fn, &done, i] {
-      fn(i);
-      done.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t runners = std::min(count, static_cast<std::size_t>(size()));
+  for (std::size_t r = 0; r < runners; ++r) {
+    submit([&fn, &next, &done, count] {
+      for (std::size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
+        fn(i);
+        done.fetch_add(1, std::memory_order_relaxed);
+      }
     });
   }
   wait_idle();

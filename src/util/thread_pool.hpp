@@ -43,8 +43,9 @@ class ThreadPool {
   void wait_idle();
 
   // Run fn(0), ..., fn(count - 1) across the pool and wait for completion.
-  // Scheduling order is unspecified; callers must make iterations
-  // independent and write results into per-index slots.
+  // Iterations start in increasing index order (each free worker claims the
+  // next index), though they may finish in any order; callers must make
+  // iterations independent and write results into per-index slots.
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
 
  private:

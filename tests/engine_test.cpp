@@ -6,7 +6,12 @@
 
 #include <cmath>
 #include <atomic>
+#include <chrono>
+#include <map>
+#include <mutex>
 #include <set>
+#include <stdexcept>
+#include <thread>
 
 #include "boosting/planner.hpp"
 #include "counting/randomized.hpp"
@@ -22,6 +27,17 @@
 namespace {
 
 using namespace synccount;
+
+// Polls `done` for at least ten seconds; false on timeout, so a test that
+// would deadlock fails instead of hanging.
+template <class Pred>
+bool eventually(Pred done) {
+  for (int tries = 0; tries < 10000; ++tries) {
+    if (done()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
 
 // --- ThreadPool --------------------------------------------------------------
 
@@ -50,6 +66,28 @@ TEST(ThreadPool, SubmitAndWaitIdle) {
   }
   pool.wait_idle();
   EXPECT_EQ(count.load(), 50);
+}
+
+TEST(ThreadPool, ParallelForStartsIndicesInOrder) {
+  // Index 0 holds its worker until the other one has run 1, 2 and 3: they
+  // can only have started in index order, one claim after the other.
+  util::ThreadPool pool(2);
+  std::mutex mu;
+  std::vector<std::size_t> ran;
+  bool saw_rest = false;
+  pool.parallel_for(4, [&](std::size_t i) {
+    if (i == 0) {
+      saw_rest = eventually([&] {
+        const std::lock_guard<std::mutex> lock(mu);
+        return ran.size() == 3;
+      });
+      return;
+    }
+    const std::lock_guard<std::mutex> lock(mu);
+    ran.push_back(i);
+  });
+  EXPECT_TRUE(saw_rest);
+  EXPECT_EQ(ran, (std::vector<std::size_t>{1, 2, 3}));
 }
 
 // --- StreamingStats ----------------------------------------------------------
@@ -380,6 +418,115 @@ TEST(Engine, RejectsEmptySpec) {
   spec.adversaries = {"silent"};
   spec.seeds = 0;
   EXPECT_THROW(engine.run(spec), std::invalid_argument);
+}
+
+sim::ExperimentSpec table1_spec(std::vector<std::string> adversaries, int seeds) {
+  sim::ExperimentSpec spec;
+  spec.algo =
+      std::make_shared<counting::TableAlgorithm>(synthesis::known_table_4_1_3states());
+  spec.adversaries = std::move(adversaries);
+  spec.placements = {{"spread", sim::faults_spread(4, 1)}};
+  spec.seeds = seeds;
+  spec.stop_after_stable = 40;
+  spec.margin = 30;
+  return spec;
+}
+
+TEST(Engine, DeliveryDoesNotBlockWorkers) {
+  // on_group(0) holds delivery until group 1's second cell has built its
+  // adversary. The other worker only gets there if finishing group 1's
+  // first cell does not wait for the deliverer.
+  sim::ExperimentSpec spec = table1_spec({"silent", "split"}, 4);
+  std::map<std::string, std::atomic<int>> built;
+  for (const auto& name : spec.adversaries) built[name] = 0;
+  spec.adversary_factory = [&built](const std::string& name) {
+    built.at(name).fetch_add(1);
+    return sim::make_adversary(name);
+  };
+
+  class WaitingSink final : public sim::Sink {
+   public:
+    explicit WaitingSink(const std::atomic<int>& split_built) : split_built_(split_built) {}
+    void on_group(std::size_t group, const sim::AggregateResult&) override {
+      if (group == 0) overlapped = eventually([this] { return split_built_.load() >= 2; });
+    }
+    bool overlapped = false;
+
+   private:
+    const std::atomic<int>& split_built_;
+  };
+  WaitingSink sink(built.at("split"));
+
+  const auto result = sim::Engine(2).run(spec, {&sink});
+  EXPECT_EQ(result.batched_cells, 0u);  // a custom factory keeps every cell scalar
+  EXPECT_TRUE(sink.overlapped);
+  EXPECT_EQ(built.at("silent").load(), 4);
+  EXPECT_EQ(built.at("split").load(), 4);
+}
+
+TEST(Engine, SinkFailureStopsDelivery) {
+  // A sink that throws once in on_group(1): the run fails, nothing is
+  // delivered twice, and nothing after the failure is delivered at all.
+  const sim::ExperimentSpec spec = table1_spec({"silent", "split", "random", "mirror"}, 4096);
+  const std::size_t n_cells = 4 * 4096;
+
+  class ThrowingSink final : public sim::Sink {
+   public:
+    explicit ThrowingSink(std::size_t cells) : cell_hits(cells, 0) {}
+    void on_cell(const sim::CellOutcome& cell) override { ++cell_hits.at(cell.cell_index); }
+    void on_group(std::size_t group, const sim::AggregateResult&) override {
+      ++group_hits.at(group);
+      if (group == 1 && !thrown) {
+        thrown = true;
+        throw std::runtime_error("sink failed");
+      }
+    }
+    void on_done(const sim::ExperimentResult&) override { ++done; }
+
+    std::vector<int> cell_hits;
+    std::vector<int> group_hits = std::vector<int>(4, 0);
+    bool thrown = false;
+    int done = 0;
+  };
+  ThrowingSink sink(n_cells);
+
+  EXPECT_THROW(sim::Engine(4).run(spec, {&sink}), std::runtime_error);
+  EXPECT_EQ(sink.group_hits, (std::vector<int>{1, 1, 0, 0}));
+  EXPECT_EQ(sink.done, 0);
+  for (std::size_t i = 0; i < n_cells; ++i) {
+    // Groups 0 and 1 were delivered whole before on_group(1) threw.
+    ASSERT_EQ(sink.cell_hits[i], i < 2 * 4096 ? 1 : 0) << "cell " << i;
+  }
+}
+
+TEST(Engine, GroupsHoldEachGroupsFold) {
+  // Table groups (bit-sliced), scalar lookahead groups and composed-tower
+  // groups, in both stats modes, on one and four threads, for a full run and
+  // for a shard that starts past group 0.
+  sim::ExperimentSpec table = table1_spec({"split", "lookahead", "silent"}, 70);
+  table.placements.push_back({"none", {}});
+  for (sim::ExperimentSpec spec : {table, small_grid_spec()}) {
+    for (const auto mode : {util::StatsMode::kExact, util::StatsMode::kSketch}) {
+      spec.stats = mode;
+      const std::size_t n_pl = spec.placements.size();
+      for (const int threads : {1, 4}) {
+        for (const auto& plan : {sim::plan_shards(spec, 1, 0), sim::plan_shards(spec, 2, 1)}) {
+          const auto result = sim::Engine(threads).run(spec, plan);
+          ASSERT_EQ(result.groups.size(), plan.groups());
+          sim::AggregateResult merged(mode);
+          for (std::size_t lg = 0; lg < result.groups.size(); ++lg) {
+            const std::size_t g = plan.group_begin + lg;
+            EXPECT_EQ(sim::aggregate_to_json(result.groups[lg]).dump(),
+                      sim::aggregate_to_json(result.aggregate(g / n_pl, g % n_pl)).dump())
+                << "group " << g << " threads " << threads;
+            merged.merge(result.groups[lg]);
+          }
+          EXPECT_EQ(sim::aggregate_to_json(result.total).dump(),
+                    sim::aggregate_to_json(merged).dump());
+        }
+      }
+    }
+  }
 }
 
 // --- Runner hot-path equivalence --------------------------------------------
