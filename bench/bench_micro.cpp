@@ -367,7 +367,9 @@ int run_json_smoke(const std::string& exe, const std::string& path) {
     return 1;
   }
   // The table instance also gates the state-reading strategies, which forge
-  // lane-batched through the table backend's state view.
+  // lane-batched through the table backend's state view. The N = 36 tower
+  // also gates random and targeted-vote, which forge one profile per
+  // receiver, so every receiver takes its own boosted votes.
   const std::vector<SmokeInstance> instances = {
       {"table1 n=4 f=1 c=2 |X|=3, 1 Byzantine (spread)",
        [](const std::string& adv) { return table1_case(adv, 256, 512); },
@@ -377,7 +379,7 @@ int run_json_smoke(const std::string& exe, const std::string& path) {
        {"silent", "split"}},
       {"boosted practical(f=7, C=10) N=36, 7 Byzantine (spread)",
        [](const std::string& adv) { return large_case(adv, 64, 64); },
-       {"silent", "split"}},
+       {"silent", "split", "random", "targeted-vote"}},
   };
   out << "{\n  \"instances\": [";
   bool first_instance = true;

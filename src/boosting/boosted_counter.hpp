@@ -37,8 +37,9 @@ using counting::State;
 // occurring more than `threshold` times, or `fallback` if none does. The
 // paper lets the majority function return an arbitrary value when no correct
 // majority exists; like the paper we default to 0 (any fixed choice works).
-// Shared by the scalar votes() and the composed batched backend
-// (sim/composed_runner.hpp) so the two cannot drift apart.
+// The composed batched backend (sim/composed_runner.hpp) reads the same
+// majorities off per-block counts instead; the differential suites
+// (tests/boosted_batch_test.cpp) keep the two in step.
 std::uint64_t strict_majority(std::span<const std::uint64_t> values, std::uint64_t bound,
                               std::size_t threshold, std::vector<std::uint32_t>& scratch,
                               std::uint64_t fallback = 0);

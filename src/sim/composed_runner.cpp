@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <span>
+#include <utility>
 
 #include "boosting/boosted_counter.hpp"
 #include "counting/trivial.hpp"
@@ -139,8 +140,11 @@ namespace {
 //    message() is draw-free or the tower has no fresh-sampling pulling level.
 //  * Interleaved (the remaining case: a receiver-dependent, drawing adversary
 //    under a fresh-sampling pulling tower). Forging and transitions alternate
-//    per receiver exactly like the scalar loop, with votes memoized per
-//    (level, copy) keyed on the forged field tuple they read.
+//    per receiver exactly like the scalar loop, and every receiver takes its
+//    own votes.
+//
+// Both modes read boosted votes off the lane-round's correct-sender tallies
+// (tally_votes).
 class ComposedBlock {
  public:
   ComposedBlock(const BatchConfig& cfg, const ComposedCompiledTable& cc,
@@ -173,14 +177,17 @@ class ComposedBlock {
     nb_base_.assign(nn, 0);
     nb_a_.assign(L_, std::vector<std::uint64_t>(nn, 0));
     nb_d_.assign(L_, std::vector<std::uint8_t>(nn, 0));
-    b_all_.assign(nn, 0);
-    r_all_.assign(nn, 0);
     int max_k = 0;
     int max_m = 0;
+    int max_vote_m = 0;
+    std::size_t tally_size = 0;
     total_copies_ = 0;
-    for (const ComposedLevel& lv : cc_.levels) {
+    tally_rows_.resize(L_);
+    for (std::size_t lvl = 0; lvl < L_; ++lvl) {
+      const ComposedLevel& lv = cc_.levels[lvl];
       max_k = std::max(max_k, lv.k);
       max_m = std::max(max_m, lv.sample_size);
+      max_vote_m = std::max(max_vote_m, lv.m);
       copy_base_.push_back(total_copies_);
       total_copies_ += static_cast<std::size_t>(lv.copies);
       // Faulty senders inside each copy of this level: the only received
@@ -192,12 +199,26 @@ class ComposedBlock {
         }
         copy_faulty_.push_back(std::move(in_copy));
       }
+      // Every block of a boosted level owns one tally row: m leader-pointer
+      // counts, then tau round-counter counts. Copy c's block blk is the
+      // level's global block c * k + blk.
+      if (lv.kind != ComposedLevel::Kind::kBoosted) continue;
+      const auto stride = static_cast<std::size_t>(lv.m + lv.tau);
+      tally_rows_[lvl].resize(nn);
+      for (int u = 0; u < N_; ++u) {
+        const int g = u / lv.n_inner;
+        tally_rows_[lvl][static_cast<std::size_t>(u)] = {
+            tally_size + static_cast<std::size_t>(g) * stride,
+            static_cast<std::uint64_t>(lv.tau) * lv.pow2m[static_cast<std::size_t>(g % lv.k)]};
+      }
+      tally_size += static_cast<std::size_t>(lv.copies * lv.k) * stride;
     }
     vote_B_.assign(total_copies_, 0);
     vote_R_.assign(total_copies_, 0);
     vote_valid_.assign(total_copies_, 0);
-    vote_memo_.resize(total_copies_);
-    vote_memo_used_.assign(total_copies_, 0);
+    tally_.assign(tally_size, 0);
+    patch_.assign(faulty_ids_.size(), {});
+    lead_cnt_.assign(static_cast<std::size_t>(max_vote_m), 0);
     leader_.assign(static_cast<std::size_t>(max_k), 0);
     const auto mm = static_cast<std::size_t>(max_m);
     sample_.assign(static_cast<std::size_t>(max_k) * mm, 0);
@@ -384,9 +405,10 @@ class ComposedBlock {
     for (std::uint64_t msk = active_; msk; msk &= msk - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(msk));
       load_received(l);
+      tally_correct_senders();
       std::fill(vote_valid_.begin(), vote_valid_.end(), 0);
       if (faultless_) {
-        for (const NodeId v : correct_) transition_node(l, v, 0, /*memo=*/false);
+        for (const NodeId v : correct_) transition_node(l, v, 0, /*cached=*/true);
       } else {
         int cur = -1;
         for (const NodeId v : order_) {
@@ -395,7 +417,7 @@ class ComposedBlock {
             apply_profile(l, pv);
             cur = pv;
           }
-          transition_node(l, v, pv, /*memo=*/false);
+          transition_node(l, v, pv, /*cached=*/true);
         }
       }
       commit(l);
@@ -415,13 +437,13 @@ class ComposedBlock {
         advs_[l]->begin_round(round, lanes_[l].states, algo_, faulty_ids_, rngs_[l]);
       }
       load_received(l);
-      std::fill(vote_memo_used_.begin(), vote_memo_used_.end(), 0);
+      tally_correct_senders();
       for (const NodeId v : correct_) {
         for (std::size_t k = 0; k < faulty_ids_.size(); ++k) {
           forge_into(l, round, faulty_ids_[k], v, static_cast<std::size_t>(faulty_ids_[k]),
                      rv_base_, rv_a_, rv_d_);
         }
-        transition_node(l, v, 0, /*memo=*/true);
+        transition_node(l, v, 0, /*cached=*/false);
       }
       commit(l);
     }
@@ -684,40 +706,80 @@ class ComposedBlock {
     return a == kInfinity ? 0 : a;
   }
 
-  // Full majority votes of one copy of a boosted level (paper step 3),
-  // mirroring BoostedCounter::votes on the received view.
-  void compute_votes(std::size_t lvl, int copy, std::uint64_t& B, std::uint64_t& R) {
+  // Tally indices of sender u's leader pointer b and round counter r at
+  // boosted level `lvl` (block_view on the received view). block_view first
+  // reduces the output modulo tau * (2m)^(blk+1); tau and m both divide that
+  // modulus, so r = o mod tau and b = floor(o / (tau * (2m)^blk)) mod m.
+  std::pair<std::size_t, std::size_t> tally_pos(std::size_t lvl, NodeId u) const {
     const ComposedLevel& lv = cc_.levels[lvl];
-    const int first = copy * lv.n;
-    const auto tau = static_cast<std::uint64_t>(lv.tau);
+    const TallyRow& t = tally_rows_[lvl][static_cast<std::size_t>(u)];
+    const auto m = static_cast<std::size_t>(lv.m);
+    const std::uint64_t o = inner_out(lvl, u);
+    return {t.row + o / t.div % m, t.row + m + o % static_cast<std::uint64_t>(lv.tau)};
+  }
+
+  // Per-block (b, r) counts of every boosted level copy over its correct
+  // senders. Correct senders read the master fields in every view, so one
+  // build right after load_received serves every receiver of the lane-round.
+  void tally_correct_senders() {
+    std::fill(tally_.begin(), tally_.end(), 0);
+    for (std::size_t lvl = 0; lvl < L_; ++lvl) {
+      if (cc_.levels[lvl].kind != ComposedLevel::Kind::kBoosted) continue;
+      for (const NodeId u : correct_) {
+        const auto [ib, ir] = tally_pos(lvl, u);
+        ++tally_[ib];
+        ++tally_[ir];
+      }
+    }
+  }
+
+  // The value in [0, bound) counted more than `threshold` times, or 0: the
+  // strict majority of the counted values.
+  static std::uint64_t counted_majority(const std::uint32_t* counts, std::uint64_t bound,
+                                        std::size_t threshold) {
+    for (std::uint64_t v = 0; v < bound; ++v) {
+      if (counts[v] > threshold) return v;
+    }
+    return 0;
+  }
+
+  // Majority votes of one copy of a boosted level (paper step 3), equal to
+  // BoostedCounter::votes on the received view: the copy's faulty senders as
+  // this view sees them are added to its correct-sender tallies, the
+  // majorities are read off the counts, and the faulty senders are taken out
+  // again. Every majority is strict (more than half of the values), so at
+  // most one value can pass and the counting order does not matter. `first`
+  // is the copy's first node; its tally row is the copy's block 0.
+  void tally_votes(std::size_t lvl, NodeId first, std::size_t slot, std::uint64_t& B,
+                   std::uint64_t& R) {
+    const ComposedLevel& lv = cc_.levels[lvl];
+    const std::vector<NodeId>& in_copy = copy_faulty_[slot];
+    for (std::size_t i = 0; i < in_copy.size(); ++i) {
+      patch_[i] = tally_pos(lvl, in_copy[i]);
+      ++tally_[patch_[i].first];
+      ++tally_[patch_[i].second];
+    }
     const auto m = static_cast<std::uint64_t>(lv.m);
-    for (int u_local = 0; u_local < lv.n; ++u_local) {
-      const int blk = u_local / lv.n_inner;
-      const std::uint64_t cblk = tau * lv.pow2m[static_cast<std::size_t>(blk) + 1];
-      const std::uint64_t value = inner_out(lvl, first + u_local) % cblk;
-      r_all_[static_cast<std::size_t>(u_local)] = value % tau;
-      const std::uint64_t y = value / tau;
-      b_all_[static_cast<std::size_t>(u_local)] =
-          (y / lv.pow2m[static_cast<std::size_t>(blk)]) % m;
-    }
-    const auto ni = static_cast<std::size_t>(lv.n_inner);
+    const auto tau = static_cast<std::uint64_t>(lv.tau);
+    const auto half = static_cast<std::size_t>(lv.n_inner) / 2;
+    const std::uint32_t* rows =
+        tally_.data() + tally_rows_[lvl][static_cast<std::size_t>(first)].row;
     for (int blk = 0; blk < lv.k; ++blk) {
-      leader_[static_cast<std::size_t>(blk)] = boosting::strict_majority(
-          std::span<const std::uint64_t>(b_all_.data() + static_cast<std::size_t>(blk) * ni, ni),
-          m, ni / 2, scratch_);
+      ++lead_cnt_[counted_majority(rows + static_cast<std::size_t>(blk) * (m + tau), m, half)];
     }
-    B = boosting::strict_majority(
-        std::span<const std::uint64_t>(leader_.data(), static_cast<std::size_t>(lv.k)), m,
-        static_cast<std::size_t>(lv.k) / 2, scratch_);
-    R = boosting::strict_majority(
-        std::span<const std::uint64_t>(r_all_.data() + static_cast<std::size_t>(B) * ni, ni),
-        tau, ni / 2, scratch_);
+    B = counted_majority(lead_cnt_.data(), m, static_cast<std::size_t>(lv.k) / 2);
+    std::fill_n(lead_cnt_.begin(), m, 0);
+    R = counted_majority(rows + B * (m + tau) + m, tau, half);
+    for (std::size_t i = 0; i < in_copy.size(); ++i) {
+      --tally_[patch_[i].first];
+      --tally_[patch_[i].second];
+    }
   }
 
   // Profiled-mode vote lookup: direct-indexed per (level copy, profile).
   // Copies without faulty senders read the same fields under every profile,
   // so they collapse onto the profile-0 entry.
-  void boosted_votes_profiled(std::size_t lvl, int copy, std::size_t slot, int pv,
+  void boosted_votes_profiled(std::size_t lvl, NodeId first, std::size_t slot, int pv,
                               std::uint64_t& B, std::uint64_t& R) {
     const int p_eff = copy_faulty_[slot].empty() ? 0 : pv;
     const std::size_t cidx =
@@ -727,56 +789,27 @@ class ComposedBlock {
       R = vote_R_[cidx];
       return;
     }
-    compute_votes(lvl, copy, B, R);
+    tally_votes(lvl, first, slot, B, R);
     vote_B_[cidx] = B;
     vote_R_[cidx] = R;
     vote_valid_[cidx] = 1;
   }
 
-  // Interleaved-mode vote lookup. Per-receiver forging changes only the
-  // faulty senders' fields, and structured equivocators send few distinct
-  // values per round, so this round's votes are memoized per (level, copy)
-  // keyed on the forged field tuple the votes actually read -- the base index
-  // for level 0, the level-below (a) register otherwise. A full key match
-  // implies identical vote inputs, so the hit path is bit-identical to
-  // recomputing.
-  void boosted_votes_memo(std::size_t lvl, int copy, std::size_t slot, std::uint64_t& B,
-                          std::uint64_t& R) {
-    key_scratch_.clear();
-    for (const NodeId u : copy_faulty_[slot]) {
-      const auto uu = static_cast<std::size_t>(u);
-      key_scratch_.push_back(lvl == 0 ? rp_base_[uu] : rp_a_[lvl - 1][uu]);
-    }
-    auto& entries = vote_memo_[slot];
-    std::size_t& used = vote_memo_used_[slot];
-    for (std::size_t e = 0; e < used; ++e) {
-      if (entries[e].key == key_scratch_) {
-        B = entries[e].B;
-        R = entries[e].R;
-        return;
-      }
-    }
-    compute_votes(lvl, copy, B, R);
-    if (used == entries.size()) entries.emplace_back();
-    entries[used].key = key_scratch_;  // assignment reuses capacity
-    entries[used].B = B;
-    entries[used].R = R;
-    ++used;
-  }
-
-  void boosted_step(std::size_t lvl, NodeId v, int pv, bool memo) {
+  // `cached`: look the votes up in the per-(copy, profile) cache (profiled
+  // mode) instead of taking them for this receiver alone (interleaved mode).
+  void boosted_step(std::size_t lvl, NodeId v, int pv, bool cached) {
     const ComposedLevel& lv = cc_.levels[lvl];
     const int copy = v / lv.n;
     const int v_local = v % lv.n;
+    const int first = copy * lv.n;
     const std::size_t slot = copy_base_[lvl] + static_cast<std::size_t>(copy);
     std::uint64_t B;
     std::uint64_t R;
-    if (memo) {
-      boosted_votes_memo(lvl, copy, slot, B, R);
+    if (cached) {
+      boosted_votes_profiled(lvl, first, slot, pv, B, R);
     } else {
-      boosted_votes_profiled(lvl, copy, slot, pv, B, R);
+      tally_votes(lvl, first, slot, B, R);
     }
-    const std::size_t first = static_cast<std::size_t>(copy) * static_cast<std::size_t>(lv.n);
     const std::span<const std::uint64_t> received_a(rp_a_[lvl] + first,
                                                     static_cast<std::size_t>(lv.n));
     const phaseking::Registers own{rp_a_[lvl][static_cast<std::size_t>(v)],
@@ -855,7 +888,7 @@ class ComposedBlock {
     nb_d_[lvl][static_cast<std::size_t>(v)] = next.d ? 1 : 0;
   }
 
-  void transition_node(std::size_t lane, NodeId v, int pv, bool memo) {
+  void transition_node(std::size_t lane, NodeId v, int pv, bool cached) {
     // Base kernel (step 1 of the construction, recursed to the bottom). On
     // the bit-sliced path the cross-lane pass already produced every lane's
     // next base index; extract this lane's bit pair.
@@ -879,7 +912,7 @@ class ComposedBlock {
     std::uint64_t pulled = 0;
     for (std::size_t lvl = 0; lvl < L_; ++lvl) {
       if (cc_.levels[lvl].kind == ComposedLevel::Kind::kBoosted) {
-        boosted_step(lvl, v, pv, memo);
+        boosted_step(lvl, v, pv, cached);
       } else {
         pulling_step(lane, lvl, v, pulled);
       }
@@ -969,17 +1002,20 @@ class ComposedBlock {
   std::vector<std::uint64_t> vote_B_, vote_R_;
   std::vector<std::uint8_t> vote_valid_;
 
-  // Per-receiver vote memo (interleaved mode), [slot]: votes computed this
-  // lane-round keyed on the copy's forged field tuple; entry storage persists
-  // across rounds so the round loop stays allocation-free once warm.
-  struct VoteMemoEntry {
-    std::vector<std::uint64_t> key;
-    std::uint64_t B = 0, R = 0;
+  // Correct-sender vote tallies of the lane-round, one row per block of a
+  // boosted level: m leader-pointer counts, then tau round-counter counts.
+  // tally_rows_[level][u] is sender u's block row and the divisor
+  // tau * (2m)^blk of its leader pointer. patch_ holds the tally indices of
+  // the faulty senders a vote adds, so it can take them out again.
+  struct TallyRow {
+    std::size_t row = 0;
+    std::uint64_t div = 1;
   };
   std::vector<std::vector<NodeId>> copy_faulty_;  // [slot] -> faulty ids in the copy
-  std::vector<std::vector<VoteMemoEntry>> vote_memo_;
-  std::vector<std::size_t> vote_memo_used_;
-  std::vector<std::uint64_t> key_scratch_;
+  std::vector<std::vector<TallyRow>> tally_rows_;
+  std::vector<std::uint32_t> tally_;
+  std::vector<std::pair<std::size_t, std::size_t>> patch_;
+  std::vector<std::uint32_t> lead_cnt_;  // block-leader counts for B, all zero between votes
 
   // Bit-sliced base planes (bs_base_ only): pb_ mirrors base_ as per-node
   // {bit0, bit1} lane bitplanes (committed in lockstep with the master),
@@ -991,7 +1027,7 @@ class ComposedBlock {
   std::vector<int> bsender_kind_;  // [node] -> -1 correct, else faulty index k
 
   // Vote / sampling scratch.
-  std::vector<std::uint64_t> b_all_, r_all_, leader_, mvals_, sampled_a_, outs_;
+  std::vector<std::uint64_t> leader_, mvals_, sampled_a_, outs_;
   std::vector<std::uint32_t> sample_;
   std::vector<std::uint32_t> scratch_;
   std::array<std::uint8_t, 256> base_idx_{};

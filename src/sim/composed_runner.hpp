@@ -19,8 +19,7 @@
 //    (profile, sender) instead of re-decoding BitVecs at every level of
 //    every receiver's transition. Each level's votes are computed once per
 //    level copy (receiver-oblivious adversaries) or once per (profile,
-//    copy) with memoisation keyed on the forged field tuple the votes
-//    read, and the shared phaseking::step / step_sampled glue runs per
+//    copy), and the shared phaseking::step / step_sampled glue runs per
 //    node -- zero per-round heap allocation. When the base is a
 //    num_states <= 4 table, its kernel additionally runs on the flat
 //    path's bit-sliced planes: one cross-lane DFS over the compiled base
@@ -28,7 +27,15 @@
 //
 //  * Interleaved (fresh-sampling pulling towers under adversaries whose
 //    message() draws randomness): forging stays interleaved with the
-//    per-receiver transitions, preserving the scalar draw order exactly.
+//    per-receiver transitions, preserving the scalar draw order exactly;
+//    every receiver takes its own votes.
+//
+// In both modes a boosted level's votes are read from per-block tallies of
+// each copy's leader pointers b and round counters r over its correct
+// senders, built once per lane-round (correct senders look the same to every
+// receiver). A vote adds the copy's faulty senders as its receiver sees
+// them, reads the strict majorities off the counts and removes them again:
+// O(faulty senders in the copy + k*m + tau) instead of decoding the copy.
 //
 // Per-lane Rng and Adversary instances are invoked in exactly the scalar
 // runner's call order in both modes, so every lane's RunResult is

@@ -152,7 +152,9 @@ TEST(ComposedBatch, MatchesScalarAcrossPlansAdversariesAndPlacements) {
   const std::vector<std::string> adversaries = {"silent", "echo",   "random",
                                                 "split",  "mirror", "targeted-vote"};
   const std::vector<std::uint64_t> seeds = {1, 2, 3, 0xDEAD};
-  for (const int f : {1, 2, 3}) {
+  // f = 7 is the N = 36 tower with three boosted levels (level 1 runs three
+  // copies of 4-node blocks).
+  for (const int f : {1, 2, 3, 7}) {
     const auto algo = practical(f);
     const int n = algo->num_nodes();
     std::vector<std::pair<std::string, std::vector<bool>>> placements = {
@@ -313,6 +315,30 @@ TEST(ComposedBatch, MixedPullingOverBoostedTowerMatchesScalar) {
   opt.max_rounds = 60;
   for (const auto& adv : {"silent", "random"}) {
     expect_differential(algo, adv, {31, 32}, opt, std::string("pulling-tower/") + adv);
+  }
+
+  // One fresh-sampling pulling level over boosted levels. `random` is
+  // receiver-dependent and draws, so these towers run in interleaved mode,
+  // where every receiver takes its own boosted votes; `split` runs the same
+  // towers profiled.
+  for (const int f : {3, 7}) {
+    const auto top =
+        pulling::build_pulling_practical(f, 10, 8, pulling::SamplingMode::kFresh, 0x5eed, 1);
+    const int n = top->num_nodes();
+    const std::vector<std::pair<std::string, std::vector<bool>>> placements = {
+        {"spread", sim::faults_spread(n, f)},
+        {"blocks", sim::faults_block_concentrated(3, n / 3, (f - 1) / 2, f)}};
+    for (const auto& adv : {"random", "split"}) {
+      for (const auto& [pname, faulty] : placements) {
+        RunOpts popt;
+        popt.faulty = faulty;
+        popt.max_rounds = 60;
+        popt.record_outputs = true;
+        expect_differential(top, adv, {41, 42, 43}, popt,
+                            "pulling-over-practical(" + std::to_string(f) + ")/" + adv + "/" +
+                                pname);
+      }
+    }
   }
 }
 
