@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -19,6 +20,7 @@ Solver::Solver() = default;
 Solver::Solver(const SolverConfig& config) { configure(config); }
 
 void Solver::configure(const SolverConfig& config) {
+  backtrack(0);  // a kSat solve leaves the model's levels in place
   SC_REQUIRE(decision_level() == 0, "configure() only at the top level");
   SC_CHECK(config.decay > 0.0 && config.decay <= 1.0, "decay must be in (0, 1]");
   SC_CHECK(config.restart_scale >= 1, "restart_scale must be >= 1");
@@ -29,7 +31,7 @@ void Solver::configure(const SolverConfig& config) {
   std::uint64_t s = config.seed;
   rng_state_ = util::splitmix64(s) | 1;  // xorshift needs a non-zero state
   for (std::uint32_t v0 = 0; v0 < num_vars_; ++v0) {
-    if (assigns_[v0] == LBool::kUndef) saved_phase_[v0] = initial_phase_of(v0);
+    if (vals_[mk_lit(v0, false)] == LBool::kUndef) saved_phase_[v0] = initial_phase_of(v0);
   }
 }
 
@@ -66,12 +68,13 @@ Var Solver::new_var() {
 
 void Solver::ensure_var(std::uint32_t v0) {
   while (num_vars_ <= v0) {
-    assigns_.push_back(LBool::kUndef);
-    saved_phase_.push_back(initial_phase_of(num_vars_));
+    vals_.push_back(LBool::kUndef);
+    vals_.push_back(LBool::kUndef);
+    saved_phase_.push_back(initial_phase_of(num_vars_) ? 1 : 0);
     level_.push_back(0);
     reason_.push_back(kRefUndef);
     activity_.push_back(0.0);
-    seen_.push_back(false);
+    seen_.push_back(0);
     heap_pos_.push_back(-1);
     watches_.emplace_back();
     watches_.emplace_back();
@@ -87,40 +90,69 @@ Solver::Lit Solver::to_internal(ExtLit e) {
   return mk_lit(v, e < 0);
 }
 
+// --- Clause arena --------------------------------------------------------------
+
+double Solver::clause_activity(ClauseRef cr) const {
+  double a = 0.0;
+  std::memcpy(&a, &arena_[cr + 1 + clause_size(cr)], sizeof a);
+  return a;
+}
+
+void Solver::set_clause_activity(ClauseRef cr, double a) {
+  std::memcpy(&arena_[cr + 1 + clause_size(cr)], &a, sizeof a);
+}
+
+Solver::ClauseRef Solver::alloc_clause(const std::vector<Lit>& lits, bool learned) {
+  const std::size_t words = 1 + lits.size() + (learned ? kActivityWords : 0);
+  // Offsets must stay below kRefUndef, and the size must fit the header.
+  SC_REQUIRE(words < kRefUndef - arena_.size() && lits.size() <= (kRefUndef >> 2),
+             "clause arena exceeds 2^32 words");
+  const auto cr = static_cast<ClauseRef>(arena_.size());
+  arena_.push_back(static_cast<std::uint32_t>(lits.size()) << 2 | (learned ? kLearnedBit : 0));
+  arena_.insert(arena_.end(), lits.begin(), lits.end());
+  if (learned) {
+    arena_.resize(arena_.size() + kActivityWords);
+    set_clause_activity(cr, cla_inc_);
+  }
+  return cr;
+}
+
 void Solver::attach(ClauseRef cref) {
-  const Clause& c = clauses_[cref];
-  SC_ASSERT(c.lits.size() >= 2);
-  watches_[neg(c.lits[0])].push_back({cref, c.lits[1]});
-  watches_[neg(c.lits[1])].push_back({cref, c.lits[0]});
+  SC_ASSERT(clause_size(cref) >= 2);
+  const Lit* lits = clause_lits(cref);
+  watches_[neg(lits[0])].push_back({cref, lits[1]});
+  watches_[neg(lits[1])].push_back({cref, lits[0]});
 }
 
 void Solver::add_clause(const std::vector<ExtLit>& ext) {
+  backtrack(0);  // a kSat solve leaves the model's levels in place
   SC_REQUIRE(decision_level() == 0, "clauses may only be added at the top level");
   if (!ok_) return;
-  std::vector<Lit> lits;
-  lits.reserve(ext.size());
+  std::vector<Lit>& lits = add_scratch_;
+  lits.clear();
   for (ExtLit e : ext) lits.push_back(to_internal(e));
   std::sort(lits.begin(), lits.end());
   lits.erase(std::unique(lits.begin(), lits.end()), lits.end());
 
-  // Simplify against the top-level assignment; detect tautologies.
-  std::vector<Lit> out;
+  // Simplify against the top-level assignment in place; detect tautologies.
+  // Writes land at out <= i, so lits[i] and lits[i + 1] are still unread.
+  std::size_t out = 0;
   for (std::size_t i = 0; i < lits.size(); ++i) {
     if (i + 1 < lits.size() && lits[i + 1] == neg(lits[i])) return;  // tautology
     const LBool v = lit_value(lits[i]);
     if (v == LBool::kTrue) return;  // already satisfied
-    if (v == LBool::kUndef) out.push_back(lits[i]);
+    if (v == LBool::kUndef) lits[out++] = lits[i];
   }
-  if (out.empty()) {
+  lits.resize(out);
+  if (lits.empty()) {
     ok_ = false;
     return;
   }
-  if (out.size() == 1) {
-    if (!enqueue(out[0], kRefUndef)) ok_ = false;
+  if (lits.size() == 1) {
+    if (!enqueue(lits[0], kRefUndef)) ok_ = false;
     return;
   }
-  clauses_.push_back(Clause{std::move(out), 0.0, false, false});
-  attach(static_cast<ClauseRef>(clauses_.size() - 1));
+  attach(alloc_clause(lits, false));
   ++stats_.clauses;
 }
 
@@ -129,7 +161,8 @@ bool Solver::enqueue(Lit l, ClauseRef reason) {
   if (v == LBool::kTrue) return true;
   if (v == LBool::kFalse) return false;
   const auto v0 = var_of(l);
-  assigns_[v0] = sign_of(l) ? LBool::kFalse : LBool::kTrue;
+  vals_[l] = LBool::kTrue;
+  vals_[neg(l)] = LBool::kFalse;
   level_[v0] = decision_level();
   reason_[v0] = reason;
   trail_.push_back(l);
@@ -143,45 +176,51 @@ Solver::ClauseRef Solver::propagate() {
     ++stats_.propagations;
     // Clauses watching ~p (which just became false) live in watches_[p]
     // (attach() indexes watcher lists by the negation of the watched lit).
+    // A watcher that moves goes to watches_[neg(new watch)], never to ws
+    // (the new watch is not false, ~p is), so these pointers stay valid;
+    // nothing here allocates in the arena.
     auto& ws = watches_[p];
-    std::size_t i = 0, j = 0;
+    Watcher* i = ws.data();
+    Watcher* j = i;
+    Watcher* const end = i + ws.size();
     const Lit false_lit = neg(p);
-    while (i < ws.size()) {
-      const Watcher w = ws[i];
+    while (i != end) {
+      const Watcher w = *i;
       if (lit_value(w.blocker) == LBool::kTrue) {
-        ws[j++] = ws[i++];
+        *j++ = *i++;
         continue;
       }
-      Clause& c = clauses_[w.cref];
-      if (c.lits[0] == false_lit) std::swap(c.lits[0], c.lits[1]);
-      SC_ASSERT(c.lits[1] == false_lit);
+      Lit* const lits = clause_lits(w.cref);
+      if (lits[0] == false_lit) std::swap(lits[0], lits[1]);
+      SC_ASSERT(lits[1] == false_lit);
       ++i;
-      const Lit first = c.lits[0];
+      const Lit first = lits[0];
       if (lit_value(first) == LBool::kTrue) {
-        ws[j++] = {w.cref, first};
+        *j++ = {w.cref, first};
         continue;
       }
       bool found = false;
-      for (std::size_t k = 2; k < c.lits.size(); ++k) {
-        if (lit_value(c.lits[k]) != LBool::kFalse) {
-          std::swap(c.lits[1], c.lits[k]);
-          watches_[neg(c.lits[1])].push_back({w.cref, first});
+      const std::uint32_t size = clause_size(w.cref);
+      for (std::uint32_t k = 2; k < size; ++k) {
+        if (lit_value(lits[k]) != LBool::kFalse) {
+          std::swap(lits[1], lits[k]);
+          watches_[neg(lits[1])].push_back({w.cref, first});
           found = true;
           break;
         }
       }
       if (found) continue;  // moved to another watch list
       // Clause is unit or conflicting under the current assignment.
-      ws[j++] = {w.cref, first};
+      *j++ = {w.cref, first};
       if (lit_value(first) == LBool::kFalse) {
         confl = w.cref;
         qhead_ = trail_.size();
-        while (i < ws.size()) ws[j++] = ws[i++];
+        while (i != end) *j++ = *i++;
       } else {
         enqueue(first, w.cref);
       }
     }
-    ws.resize(j);
+    ws.resize(static_cast<std::size_t>(j - ws.data()));
     if (confl != kRefUndef) break;
   }
   return confl;
@@ -196,11 +235,12 @@ void Solver::bump_var(std::uint32_t v0) {
   if (heap_pos_[v0] >= 0) heap_percolate_up(heap_pos_[v0]);
 }
 
-void Solver::bump_clause(Clause& c) {
-  c.activity += cla_inc_;
-  if (c.activity > kRescaleLimit) {
-    for (auto& cl : clauses_) {
-      if (cl.learned) cl.activity *= 1e-100;
+void Solver::bump_clause(ClauseRef cr) {
+  const double a = clause_activity(cr) + cla_inc_;
+  set_clause_activity(cr, a);
+  if (a > kRescaleLimit) {
+    for (ClauseRef c = 0; c < arena_.size(); c = next_clause(c)) {
+      if (clause_learned(c)) set_clause_activity(c, clause_activity(c) * 1e-100);
     }
     cla_inc_ *= 1e-100;
   }
@@ -271,14 +311,14 @@ Solver::Lit Solver::pick_branch() {
       next_random01() < config_.random_branch_freq) {
     const std::uint32_t v0 =
         heap_[static_cast<std::size_t>(next_random() % heap_.size())];
-    if (assigns_[v0] == LBool::kUndef) {
-      return mk_lit(v0, !saved_phase_[v0]);
+    if (vals_[mk_lit(v0, false)] == LBool::kUndef) {
+      return mk_lit(v0, saved_phase_[v0] == 0);
     }
   }
   while (!heap_.empty()) {
     const std::uint32_t v0 = heap_pop();
-    if (assigns_[v0] == LBool::kUndef) {
-      return mk_lit(v0, !saved_phase_[v0]);
+    if (vals_[mk_lit(v0, false)] == LBool::kUndef) {
+      return mk_lit(v0, saved_phase_[v0] == 0);
     }
   }
   return kLitUndef;
@@ -296,13 +336,14 @@ void Solver::analyze(ClauseRef confl, std::vector<Lit>& learnt, int& backtrack_l
   ClauseRef cr = confl;
   do {
     SC_ASSERT(cr != kRefUndef);
-    Clause& c = clauses_[cr];
-    if (c.learned) bump_clause(c);
-    for (std::size_t k = (p == kLitUndef ? 0 : 1); k < c.lits.size(); ++k) {
-      const Lit q = c.lits[k];
+    if (clause_learned(cr)) bump_clause(cr);
+    const Lit* lits = clause_lits(cr);
+    const std::uint32_t size = clause_size(cr);
+    for (std::uint32_t k = (p == kLitUndef ? 0 : 1); k < size; ++k) {
+      const Lit q = lits[k];
       const auto v = var_of(q);
-      if (!seen_[v] && level_[v] > 0) {
-        seen_[v] = true;
+      if (seen_[v] == 0 && level_[v] > 0) {
+        seen_[v] = 1;
         bump_var(v);
         if (level_[v] >= decision_level()) {
           ++path_count;
@@ -311,10 +352,10 @@ void Solver::analyze(ClauseRef confl, std::vector<Lit>& learnt, int& backtrack_l
         }
       }
     }
-    while (!seen_[var_of(trail_[--index])]) {}
+    while (seen_[var_of(trail_[--index])] == 0) {}
     p = trail_[index];
     cr = reason_[var_of(p)];
-    seen_[var_of(p)] = false;
+    seen_[var_of(p)] = 0;
     --path_count;
   } while (path_count > 0);
   learnt[0] = neg(p);
@@ -333,7 +374,7 @@ void Solver::analyze(ClauseRef confl, std::vector<Lit>& learnt, int& backtrack_l
   }
   learnt.resize(out);
 
-  for (const Lit l : analyze_clear_) seen_[var_of(l)] = false;
+  for (const Lit l : analyze_clear_) seen_[var_of(l)] = 0;
   analyze_clear_.clear();
 
   if (learnt.size() == 1) {
@@ -357,18 +398,19 @@ bool Solver::lit_redundant(Lit l, std::uint32_t abstract_levels) {
     analyze_stack_.pop_back();
     const ClauseRef cr = reason_[var_of(q)];
     SC_ASSERT(cr != kRefUndef);
-    const Clause& c = clauses_[cr];
-    for (std::size_t k = 1; k < c.lits.size(); ++k) {
-      const Lit r = c.lits[k];
+    const Lit* lits = clause_lits(cr);
+    const std::uint32_t size = clause_size(cr);
+    for (std::uint32_t k = 1; k < size; ++k) {
+      const Lit r = lits[k];
       const auto v = var_of(r);
-      if (seen_[v] || level_[v] == 0) continue;
+      if (seen_[v] != 0 || level_[v] == 0) continue;
       if (reason_[v] != kRefUndef && ((1U << (level_[v] & 31)) & abstract_levels) != 0) {
-        seen_[v] = true;
+        seen_[v] = 1;
         analyze_stack_.push_back(r);
         analyze_clear_.push_back(r);
       } else {
         for (std::size_t j = top; j < analyze_clear_.size(); ++j) {
-          seen_[var_of(analyze_clear_[j])] = false;
+          seen_[var_of(analyze_clear_[j])] = 0;
         }
         analyze_clear_.resize(top);
         return false;
@@ -381,9 +423,11 @@ bool Solver::lit_redundant(Lit l, std::uint32_t abstract_levels) {
 void Solver::backtrack(int level) {
   if (decision_level() <= level) return;
   for (std::size_t i = trail_.size(); i-- > trail_lim_[static_cast<std::size_t>(level)];) {
-    const auto v0 = var_of(trail_[i]);
-    saved_phase_[v0] = assigns_[v0] == LBool::kTrue;
-    assigns_[v0] = LBool::kUndef;
+    const Lit l = trail_[i];
+    const auto v0 = var_of(l);
+    saved_phase_[v0] = sign_of(l) ? 0 : 1;
+    vals_[l] = LBool::kUndef;
+    vals_[neg(l)] = LBool::kUndef;
     reason_[v0] = kRefUndef;
     if (heap_pos_[v0] < 0) heap_insert(v0);
   }
@@ -395,27 +439,28 @@ void Solver::backtrack(int level) {
 // --- Learned-clause reduction ------------------------------------------------
 
 void Solver::reduce_db() {
+  // Collected in creation order: std::sort is not stable, so the order it
+  // sees is part of the search trajectory.
   std::vector<ClauseRef> learned;
-  for (ClauseRef cr = 0; cr < clauses_.size(); ++cr) {
-    Clause& c = clauses_[cr];
-    if (!c.learned || c.deleted || c.lits.size() <= 2) continue;
+  for (ClauseRef cr = 0; cr < arena_.size(); cr = next_clause(cr)) {
+    if (!clause_learned(cr) || clause_deleted(cr) || clause_size(cr) <= 2) continue;
     // Locked clauses (currently a reason) must survive.
-    const auto v0 = var_of(c.lits[0]);
-    if (assigns_[v0] != LBool::kUndef && reason_[v0] == cr) continue;
+    const Lit first = clause_lits(cr)[0];
+    if (lit_value(first) != LBool::kUndef && reason_[var_of(first)] == cr) continue;
     learned.push_back(cr);
   }
   std::sort(learned.begin(), learned.end(), [&](ClauseRef a, ClauseRef b) {
-    return clauses_[a].activity < clauses_[b].activity;
+    return clause_activity(a) < clause_activity(b);
   });
   const std::size_t kill = learned.size() / 2;
   for (std::size_t i = 0; i < kill; ++i) {
-    clauses_[learned[i]].deleted = true;
+    arena_[learned[i]] |= kDeletedBit;
     ++stats_.deleted;
   }
   // Rebuild the watch lists without the deleted clauses.
   for (auto& w : watches_) w.clear();
-  for (ClauseRef cr = 0; cr < clauses_.size(); ++cr) {
-    if (!clauses_[cr].deleted) attach(cr);
+  for (ClauseRef cr = 0; cr < arena_.size(); cr = next_clause(cr)) {
+    if (!clause_deleted(cr)) attach(cr);
   }
 }
 
@@ -491,8 +536,7 @@ Result Solver::solve_assuming(const std::vector<ExtLit>& assumptions,
           const bool okq = enqueue(learnt[0], kRefUndef);
           SC_REQUIRE(okq, "asserting unit conflicts at level 0");
         } else {
-          clauses_.push_back(Clause{learnt, cla_inc_, true, false});
-          const auto cref = static_cast<ClauseRef>(clauses_.size() - 1);
+          const ClauseRef cref = alloc_clause(learnt, true);
           attach(cref);
           ++stats_.learned;
           const bool okq = enqueue(learnt[0], cref);
@@ -528,8 +572,8 @@ Result Solver::solve_assuming(const std::vector<ExtLit>& assumptions,
         }
         if (next == kLitUndef) next = pick_branch();
         if (next == kLitUndef) {
-          // Full model found. Report, then clean up the assumption levels.
-          // (value() reads assigns_, which we must keep; so extract first.)
+          // Full model found. Stay mid-tree so value() can read it; the
+          // next add_clause(), configure() or solve returns to level 0.
           return Result::kSat;
         }
         ++stats_.decisions;
@@ -542,7 +586,7 @@ Result Solver::solve_assuming(const std::vector<ExtLit>& assumptions,
 
 bool Solver::value(Var v) const {
   SC_CHECK(v >= 1 && static_cast<std::uint32_t>(v) <= num_vars_, "variable out of range");
-  return assigns_[static_cast<std::uint32_t>(v) - 1] == LBool::kTrue;
+  return vals_[mk_lit(static_cast<std::uint32_t>(v) - 1, false)] == LBool::kTrue;
 }
 
 std::string Solver::stats_string() const {

@@ -6,6 +6,24 @@
 // with recursive clause minimisation, VSIDS-style activity decision
 // heuristic, phase saving, Luby restarts, and activity-based learned-clause
 // deletion. External literals use the DIMACS convention: +v / -v, v >= 1.
+//
+// Clause storage: every clause lives in one flat word arena. A clause at
+// word offset `cr` is [size << 2 | deleted << 1 | learned][lits...], and a
+// learned clause carries its activity (a double) in two trailing words.
+// A ClauseRef is that offset, so a watcher visit costs one load of the
+// clause's header and literals instead of a record plus a separate literal
+// array. Clauses are appended in creation order and never move: reduce_db
+// marks deleted learned clauses in place, and the creation-order walks
+// (reduce_db's collection and watch rebuild, the activity rescale) step
+// from one clause to the next by its word count.
+//
+// Determinism contract: the search order -- watcher order in every list,
+// literal order inside every clause and learned clause, and reduce_db's
+// order -- is part of the contract. Two solvers fed the same clauses with
+// the same config take the same conflicts, decisions and propagations and
+// return the same model, and that is what makes every table the synthesis
+// drivers find reproducible. tests/sat_test.cpp pins the exact trajectory
+// (the GoldenTrajectory cases).
 #pragma once
 
 #include <atomic>
@@ -48,9 +66,10 @@ class Solver {
   Solver();
   explicit Solver(const SolverConfig& config);
 
-  // Installs a diversification config. Must be called at decision level 0
-  // (i.e. between solves); re-seeds the tie-break stream and re-applies the
-  // initial-phase policy to every unassigned variable.
+  // Installs a diversification config between solves: first returns the
+  // solver to the top level (dropping the last model), then re-seeds the
+  // tie-break stream and re-applies the initial-phase policy to every
+  // unassigned variable.
   void configure(const SolverConfig& config);
   const SolverConfig& config() const noexcept { return config_; }
 
@@ -65,7 +84,9 @@ class Solver {
 
   // Adds a clause over external literals. Referencing a variable beyond
   // num_vars() implicitly creates the missing variables. Adding the empty
-  // clause makes the instance trivially unsatisfiable.
+  // clause makes the instance trivially unsatisfiable. Legal after any
+  // solve (e.g. to block the model just found): the solver first returns
+  // to the top level, which drops the last model.
   void add_clause(const std::vector<ExtLit>& lits);
   void add_unit(ExtLit a) { add_clause({a}); }
   void add_binary(ExtLit a, ExtLit b) { add_clause({a, b}); }
@@ -82,7 +103,8 @@ class Solver {
   Result solve_assuming(const std::vector<ExtLit>& assumptions,
                         std::uint64_t conflict_budget = 0);
 
-  // Model access after kSat.
+  // Model access after kSat. The model stays readable only until the next
+  // add_clause(), configure() or solve call.
   bool value(Var v) const;
 
   struct Stats {
@@ -108,20 +130,26 @@ class Solver {
   static bool sign_of(Lit l) { return (l & 1U) != 0; }
 
   enum class LBool : std::uint8_t { kTrue, kFalse, kUndef };
-  LBool lit_value(Lit l) const {
-    const LBool v = assigns_[var_of(l)];
-    if (v == LBool::kUndef) return LBool::kUndef;
-    return (v == LBool::kFalse) == sign_of(l) ? LBool::kTrue : LBool::kFalse;
-  }
+  LBool lit_value(Lit l) const { return vals_[l]; }
 
-  struct Clause {
-    std::vector<Lit> lits;
-    double activity = 0.0;
-    bool learned = false;
-    bool deleted = false;
-  };
+  // Word offset of a clause in arena_ (see the header comment for layout).
   using ClauseRef = std::uint32_t;
   static constexpr ClauseRef kRefUndef = ~ClauseRef{0};
+  static constexpr std::uint32_t kLearnedBit = 1;
+  static constexpr std::uint32_t kDeletedBit = 2;
+  static constexpr std::uint32_t kActivityWords = sizeof(double) / sizeof(std::uint32_t);
+
+  std::uint32_t clause_size(ClauseRef cr) const { return arena_[cr] >> 2; }
+  bool clause_learned(ClauseRef cr) const { return (arena_[cr] & kLearnedBit) != 0; }
+  bool clause_deleted(ClauseRef cr) const { return (arena_[cr] & kDeletedBit) != 0; }
+  // Valid only until the next arena allocation (vector growth moves it).
+  Lit* clause_lits(ClauseRef cr) { return &arena_[cr + 1]; }
+  ClauseRef next_clause(ClauseRef cr) const {
+    return cr + 1 + clause_size(cr) + (clause_learned(cr) ? kActivityWords : 0);
+  }
+  double clause_activity(ClauseRef cr) const;
+  void set_clause_activity(ClauseRef cr, double a);
+  ClauseRef alloc_clause(const std::vector<Lit>& lits, bool learned);
 
   struct Watcher {
     ClauseRef cref;
@@ -141,7 +169,7 @@ class Solver {
   void backtrack(int level);
   Lit pick_branch();
   void bump_var(std::uint32_t v0);
-  void bump_clause(Clause& c);
+  void bump_clause(ClauseRef cr);
   void decay_activities();
   void reduce_db();
   static std::uint64_t luby(std::uint64_t i);
@@ -151,10 +179,10 @@ class Solver {
 
   // State ------------------------------------------------------------------
   std::uint32_t num_vars_ = 0;
-  std::vector<Clause> clauses_;
+  std::vector<std::uint32_t> arena_;           // every clause, creation order
   std::vector<std::vector<Watcher>> watches_;  // indexed by literal
-  std::vector<LBool> assigns_;
-  std::vector<bool> saved_phase_;
+  std::vector<LBool> vals_;                    // indexed by literal
+  std::vector<std::uint8_t> saved_phase_;
   std::vector<int> level_;
   std::vector<ClauseRef> reason_;
   std::vector<Lit> trail_;
@@ -180,10 +208,11 @@ class Solver {
   std::uint64_t rng_state_ = 0x9E3779B97F4A7C15ULL;  // xorshift64 state (non-zero)
   const std::atomic<bool>* stop_ = nullptr;
 
-  // Temporary buffers for analyze().
-  std::vector<bool> seen_;
+  // Temporary buffers for analyze() and add_clause().
+  std::vector<std::uint8_t> seen_;
   std::vector<Lit> analyze_stack_;
   std::vector<Lit> analyze_clear_;
+  std::vector<Lit> add_scratch_;
 };
 
 }  // namespace synccount::sat

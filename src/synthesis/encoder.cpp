@@ -1,6 +1,7 @@
 #include "synthesis/encoder.hpp"
 
 #include <bit>
+#include <utility>
 
 #include "util/check.hpp"
 #include "util/math.hpp"
@@ -64,8 +65,9 @@ void Encoder::build() {
   for (int nd = 0; nd < node_dim; ++nd) {
     for (std::uint64_t vec = 0; vec < vecs_per_node_; ++vec) {
       std::vector<sat::ExtLit> alo;
+      alo.reserve(S);
       for (std::uint64_t s = 0; s < S; ++s) alo.push_back(g_var(nd, vec, s));
-      cnf_.add(alo);
+      cnf_.add(std::move(alo));
       for (std::uint64_t s1 = 0; s1 < S; ++s1) {
         for (std::uint64_t s2 = s1 + 1; s2 < S; ++s2) {
           cnf_.add({-g_var(nd, vec, s1), -g_var(nd, vec, s2)});
@@ -74,8 +76,9 @@ void Encoder::build() {
     }
     for (std::uint64_t x = 0; x < S; ++x) {
       std::vector<sat::ExtLit> alo;
+      alo.reserve(c);
       for (std::uint64_t o = 0; o < c; ++o) alo.push_back(h_var(nd, x, o));
-      cnf_.add(alo);
+      cnf_.add(std::move(alo));
       for (std::uint64_t o1 = 0; o1 < c; ++o1) {
         for (std::uint64_t o2 = o1 + 1; o2 < c; ++o2) {
           cnf_.add({-h_var(nd, x, o1), -h_var(nd, x, o2)});
@@ -191,8 +194,17 @@ void Encoder::build() {
       }
     }
 
-    // Pair constraints.
+    // Pair constraints. They share a P-literal prefix; each clause is built
+    // in one allocation of its final size and moved into the CNF.
     std::vector<std::uint64_t> dcfg(static_cast<std::size_t>(P));
+    std::vector<sat::ExtLit> prefix;
+    prefix.reserve(static_cast<std::size_t>(P));
+    const auto with_prefix = [&prefix](std::size_t tail) {
+      std::vector<sat::ExtLit> cl;
+      cl.reserve(prefix.size() + tail);
+      cl.assign(prefix.begin(), prefix.end());
+      return cl;
+    };
     for (std::uint64_t e = 0; e < configs; ++e) {
       std::uint64_t erem = e;
       for (int p = 0; p < P; ++p) {
@@ -205,35 +217,34 @@ void Encoder::build() {
           dcfg[static_cast<std::size_t>(p)] = drem % S;
           drem /= S;
         }
-        std::vector<sat::ExtLit> prefix;
-        prefix.reserve(static_cast<std::size_t>(P) + 5);
+        prefix.clear();
         for (int p = 0; p < P; ++p) {
           prefix.push_back(-can_var(e, p, dcfg[static_cast<std::size_t>(p)]));
         }
 
         // Closure: G_e ∧ reach(e,d) -> G_d.
         {
-          auto cl = prefix;
+          auto cl = with_prefix(2);
           cl.push_back(-Gv[e]);
           cl.push_back(Gv[d]);
-          cnf_.add(cl);
+          cnf_.add(std::move(cl));
         }
         // Increment: G_e ∧ reach(e,d) -> out(d) = out(e) + 1 (mod c).
         for (std::uint64_t o = 0; o < c; ++o) {
-          auto cl = prefix;
+          auto cl = with_prefix(3);
           cl.push_back(-Gv[e]);
           cl.push_back(-h_var(correct[0], cfg[0], o));
           cl.push_back(h_var(correct[0], dcfg[0], (o + 1) % c));
-          cnf_.add(cl);
+          cnf_.add(std::move(cl));
         }
         // Convergence: ¬G_e ∧ reach(e,d) ∧ ¬G_d -> rank(d) < rank(e) <= R.
         for (int j = 0; j <= R; ++j) {
-          auto cl = prefix;
+          auto cl = with_prefix(2 + (j > 0 ? 1 : 0) + (j < R ? 1 : 0));
           cl.push_back(Gv[e]);
           cl.push_back(Gv[d]);
           if (j > 0) cl.push_back(-u(d, j));
           if (j < R) cl.push_back(u(e, j + 1));
-          cnf_.add(cl);
+          cnf_.add(std::move(cl));
         }
       }
     }

@@ -1,15 +1,19 @@
 // Tests for the CDCL SAT solver: hand-crafted instances, pigeonhole
 // principles (UNSAT), model validity, randomized cross-validation against a
-// brute-force truth-table enumerator, and the portfolio-facing surface
-// (SolverConfig diversification, cooperative cancellation, stats).
+// brute-force truth-table enumerator, the portfolio-facing surface
+// (SolverConfig diversification, cooperative cancellation, stats), and the
+// golden search trajectory that the determinism contract rests on.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <ostream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
 #include "sat/dimacs.hpp"
 #include "sat/solver.hpp"
+#include "synthesis/portfolio.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -130,26 +134,27 @@ TEST(SatSolver, ConflictBudgetReturnsUnknown) {
 
 // --- Randomized cross-validation -------------------------------------------
 
-// Brute-force satisfiability over <= 20 variables.
-bool brute_force_sat(int num_vars, const std::vector<std::vector<ExtLit>>& clauses) {
-  for (std::uint32_t assign = 0; assign < (1U << num_vars); ++assign) {
-    bool all = true;
-    for (const auto& c : clauses) {
-      bool sat = false;
-      for (ExtLit l : c) {
-        const int v = std::abs(l) - 1;
-        const bool val = (assign >> v) & 1U;
-        if ((l > 0) == val) {
-          sat = true;
-          break;
-        }
-      }
-      if (!sat) {
-        all = false;
+// Whether the assignment (bit v-1 = value of variable v) satisfies every clause.
+bool assignment_satisfies(std::uint32_t assign, const std::vector<std::vector<ExtLit>>& clauses) {
+  for (const auto& c : clauses) {
+    bool sat = false;
+    for (ExtLit l : c) {
+      const int v = std::abs(l) - 1;
+      const bool val = (assign >> v) & 1U;
+      if ((l > 0) == val) {
+        sat = true;
         break;
       }
     }
-    if (all) return true;
+    if (!sat) return false;
+  }
+  return true;
+}
+
+// Brute-force satisfiability over <= 20 variables.
+bool brute_force_sat(int num_vars, const std::vector<std::vector<ExtLit>>& clauses) {
+  for (std::uint32_t assign = 0; assign < (1U << num_vars); ++assign) {
+    if (assignment_satisfies(assign, clauses)) return true;
   }
   return false;
 }
@@ -199,6 +204,46 @@ TEST_P(RandomCnf, AgreesWithBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomCnf, ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+TEST(SatSolver, BlockingEachModelEnumeratesThemAll) {
+  // solve -> block the model -> solve on one solver: every round must find a
+  // new model until the blocked instance is UNSAT, and the count must match
+  // brute force. Blocking clauses are added right after a kSat result.
+  synccount::util::Rng rng(17);
+  for (int instance = 0; instance < 20; ++instance) {
+    const int num_vars = 4 + static_cast<int>(rng.next_below(5));  // 4..8
+    std::vector<std::vector<ExtLit>> clauses;
+    for (int i = 0; i < num_vars; ++i) {
+      std::vector<ExtLit> c;
+      for (int j = 0; j < 3; ++j) {
+        const int v = 1 + static_cast<int>(rng.next_below(static_cast<std::uint64_t>(num_vars)));
+        c.push_back(rng.next_bool() ? v : -v);
+      }
+      clauses.push_back(std::move(c));
+    }
+    int expected = 0;
+    for (std::uint32_t assign = 0; assign < (1U << num_vars); ++assign) {
+      if (assignment_satisfies(assign, clauses)) ++expected;
+    }
+    Solver s;
+    for (int v = 0; v < num_vars; ++v) s.new_var();
+    for (const auto& c : clauses) s.add_clause(c);
+    std::set<std::vector<bool>> models;
+    while (s.solve() == Result::kSat) {
+      ASSERT_TRUE(model_satisfies(s, clauses)) << "instance " << instance;
+      std::vector<bool> model;
+      std::vector<ExtLit> block;
+      for (int v = 1; v <= num_vars; ++v) {
+        model.push_back(s.value(v));
+        block.push_back(s.value(v) ? -v : v);
+      }
+      ASSERT_TRUE(models.insert(model).second) << "instance " << instance << ": model repeated";
+      ASSERT_LE(static_cast<int>(models.size()), expected) << "instance " << instance;
+      s.add_clause(block);
+    }
+    EXPECT_EQ(static_cast<int>(models.size()), expected) << "instance " << instance;
+  }
+}
 
 // --- Assumptions -------------------------------------------------------------
 
@@ -434,6 +479,15 @@ TEST(SolverConfig, ReconfigureOnlyAtTopLevel) {
   s.configure(cfg);  // legal before/between solves
   EXPECT_EQ(s.solve(), Result::kSat);
   EXPECT_EQ(s.config().initial_phase, SolverConfig::Phase::kTrue);
+  EXPECT_TRUE(s.value(1));
+  EXPECT_TRUE(s.value(2));
+  // Also right after kSat, which leaves the model readable: the new phase
+  // policy reaches the variables the model had assigned.
+  cfg.initial_phase = SolverConfig::Phase::kFalse;
+  s.configure(cfg);
+  EXPECT_EQ(s.config().initial_phase, SolverConfig::Phase::kFalse);
+  EXPECT_EQ(s.solve(), Result::kSat);
+  EXPECT_NE(s.value(1), s.value(2));  // one false decision, one forced true
 }
 
 // --- Cooperative cancellation ------------------------------------------------
@@ -459,6 +513,123 @@ TEST(SatSolver, CancelledSolveKeepsSolverUsable) {
   EXPECT_EQ(s.solve_assuming({1}), Result::kCancelled);
   stop.store(false);
   EXPECT_EQ(s.solve(), Result::kUnsat);
+}
+
+// --- Golden search trajectory -------------------------------------------------
+//
+// The search order -- watcher order in every list, literal order inside every
+// clause and learned clause, reduce_db's order -- is part of the solver's
+// determinism contract: the tables the synthesis drivers find depend on it.
+// These cases pin the exact Stats and models, so a kernel change that alters
+// a single conflict, decision or propagation fails here. php(8,7) runs
+// reduce_db thousands of times and passes the variable-activity rescale
+// (after about 4.5k conflicts under config 0).
+
+struct Trajectory {
+  std::uint64_t conflicts = 0;
+  std::uint64_t decisions = 0;
+  std::uint64_t propagations = 0;
+  std::uint64_t restarts = 0;
+  std::uint64_t learned = 0;
+  std::uint64_t deleted = 0;
+  bool operator==(const Trajectory&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Trajectory& t) {
+  return os << "{" << t.conflicts << ", " << t.decisions << ", " << t.propagations << ", "
+            << t.restarts << ", " << t.learned << ", " << t.deleted << "}";
+}
+
+Trajectory trajectory_of(const Solver& s) {
+  const Solver::Stats& st = s.stats();
+  return {st.conflicts, st.decisions, st.propagations, st.restarts, st.learned, st.deleted};
+}
+
+// FNV-1a over the model's bits, variables 1..num_vars() in order.
+std::uint64_t model_hash(const Solver& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (Var v = 1; v <= s.num_vars(); ++v) {
+    h ^= s.value(v) ? 1U : 0U;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Uniform random 3-SAT: three distinct variables per clause.
+std::vector<std::vector<ExtLit>> random_3sat(std::uint64_t seed, int vars, int clauses) {
+  synccount::util::Rng rng(seed);
+  std::vector<std::vector<ExtLit>> out;
+  for (int i = 0; i < clauses; ++i) {
+    std::vector<ExtLit> c;
+    while (c.size() < 3) {
+      const int v = 1 + static_cast<int>(rng.next_below(static_cast<std::uint64_t>(vars)));
+      bool dup = false;
+      for (const ExtLit l : c) dup = dup || std::abs(l) == v;
+      if (!dup) c.push_back(rng.next_bool() ? v : -v);
+    }
+    out.push_back(std::move(c));
+  }
+  return out;
+}
+
+TEST(GoldenTrajectory, PigeonholeUnderEachPortfolioConfig) {
+  const std::vector<SolverConfig> configs = synccount::synthesis::portfolio_configs(4);
+  const Trajectory expected[] = {
+      {5153, 6307, 73108, 27, 5144, 3415},
+      {3168, 3925, 37680, 26, 3162, 1033},
+      {4854, 5704, 64790, 15, 4849, 3414},
+      {4140, 5252, 56772, 21, 4136, 2170},
+  };
+  ASSERT_EQ(configs.size(), std::size(expected));
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    Solver s(configs[i]);
+    add_php(s, 8, 7);
+    EXPECT_EQ(s.solve(), Result::kUnsat) << "config " << i;
+    EXPECT_EQ(trajectory_of(s), expected[i]) << "config " << i;
+  }
+}
+
+TEST(GoldenTrajectory, RandomThreeSatModel) {
+  // 150 variables at clause ratio 4.2: satisfiable, and long enough to run
+  // reduce_db.
+  Solver s;
+  for (const auto& c : random_3sat(11, 150, 630)) s.add_clause(c);
+  ASSERT_EQ(s.solve(), Result::kSat);
+  EXPECT_EQ(trajectory_of(s), (Trajectory{6041, 7294, 190197, 29, 6039, 3649}));
+  EXPECT_EQ(model_hash(s), 0xc641ce5c0acc2dd1ULL);
+}
+
+TEST(GoldenTrajectory, IncrementalAssumptionSequence) {
+  // One solver, successive assumption sets: learned clauses, saved phases
+  // and activities carry over from call to call, so each call's trajectory
+  // depends on every call before it. Stats are cumulative.
+  struct Step {
+    std::vector<ExtLit> assumptions;
+    Result result;
+    Trajectory after;
+    std::uint64_t model;  // model_hash when kSat
+  };
+  const Step steps[] = {
+      {{1, -2, 3}, Result::kSat, {750, 958, 26031, 5, 750, 0}, 0x09890f5cf2fbed02ULL},
+      {{-1, 2}, Result::kUnsatAssumptions, {2056, 2488, 67567, 12, 2055, 0}, 0},
+      {{4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
+       Result::kUnsatAssumptions, {2097, 2549, 68619, 12, 2095, 0}, 0},
+      {{1, -2, 3}, Result::kSat, {2507, 3108, 82248, 15, 2505, 1102}, 0x4f83951c49b433aeULL},
+      {{}, Result::kSat, {2507, 3144, 82398, 15, 2505, 1102}, 0x4f83951c49b433aeULL},
+      {{-4, -5, -6, -7, -8, -9, -10, -11, -12, -13, -14, -15, -16, -17, -18, -19, -20},
+       Result::kUnsatAssumptions, {2508, 3160, 82446, 15, 2505, 1102}, 0},
+      {{-1, -2, -3, -4}, Result::kUnsatAssumptions, {3026, 3787, 99112, 19, 3022, 1102}, 0},
+  };
+  Solver s;
+  for (const auto& c : random_3sat(8, 150, 630)) s.add_clause(c);
+  for (std::size_t i = 0; i < std::size(steps); ++i) {
+    const Step& step = steps[i];
+    EXPECT_EQ(s.solve_assuming(step.assumptions), step.result) << "step " << i;
+    EXPECT_EQ(trajectory_of(s), step.after) << "step " << i;
+    if (step.result == Result::kSat) {
+      EXPECT_EQ(model_hash(s), step.model) << "step " << i;
+    }
+  }
 }
 
 // --- DIMACS -----------------------------------------------------------------

@@ -22,6 +22,11 @@ each parallel-engine mode's speedup over the single-threaded incremental
 baseline must stay within the same ratio tolerance of its recorded value.
 Speedups are host-relative (both engines run on the same machine in the
 same process), so the ratio comparison is robust to CI machine changes.
+The section's "baseline_conflicts" must equal the recorded value exactly:
+the single-threaded incremental run is deterministic (one solver, one
+config, no race) and runs learned-clause reduction, so any change in its
+conflict count means the CDCL search itself drifted. The modes' conflict
+counts depend on race timing and are not gated.
 
 Usage: check_perf_smoke.py BASELINE.json FRESH.json [--tolerance 0.75]
                            [--max-rss-ratio 0.10]
@@ -154,6 +159,21 @@ def main():
     for mode in sorted(set(fresh_synth) - set(base_synth)):
         print(f"new      synthesis / {mode}: speedup {fresh_synth[mode]:.2f}x "
               f"(no baseline)")
+
+    # Search-drift gate: the deterministic single-thread run's conflicts.
+    base_conflicts = (base_doc.get("synthesis") or {}).get("baseline_conflicts")
+    if base_conflicts is not None:
+        fresh_conflicts = (fresh_doc.get("synthesis") or {}).get("baseline_conflicts")
+        if fresh_conflicts is None:
+            print("MISSING  synthesis / baseline_conflicts: absent from fresh run")
+            failed = True
+        else:
+            verdict = "ok" if fresh_conflicts == base_conflicts else "DRIFTED"
+            print(f"{verdict:9s}synthesis / baseline_conflicts: "
+                  f"{base_conflicts} -> {fresh_conflicts} (must be equal: "
+                  f"the single-thread search is deterministic)")
+            if fresh_conflicts != base_conflicts:
+                failed = True
 
     return 1 if failed else 0
 
