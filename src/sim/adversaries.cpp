@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "sim/composed_runner.hpp"
 #include "util/check.hpp"
 
 namespace synccount::sim {
@@ -319,77 +320,95 @@ LookaheadAdversary::LookaheadAdversary(int candidates, int sample_receivers)
   SC_CHECK(sample_receivers >= 1, "need at least one sampled receiver");
 }
 
+LookaheadAdversary::~LookaheadAdversary() = default;
+
 void LookaheadAdversary::begin_round(std::uint64_t, std::span<const State> states,
                                      const CountingAlgorithm& algo,
                                      std::span<const NodeId> faulty_ids, util::Rng& rng) {
-  n_ = static_cast<int>(states.size());
   faulty_.assign(faulty_ids.begin(), faulty_ids.end());
-  const std::size_t profile_size = faulty_.size() * static_cast<std::size_t>(n_);
+  // Nothing to forge, so no candidate can change an output. Scoring them
+  // anyway would draw from `rng` wherever transitions sample, and a
+  // fault-free run would then differ from the same seed under any other
+  // strategy.
+  if (faulty_.empty()) return;
 
   // The receiver sample candidates are scored against: an even stride over
   // the correct nodes (deterministic, so it costs no rng draws).
-  std::vector<NodeId> correct;
-  for (NodeId i = 0; i < n_; ++i) {
-    if (std::find(faulty_.begin(), faulty_.end(), i) == faulty_.end()) correct.push_back(i);
+  correct_.clear();
+  for (NodeId i = 0; i < static_cast<NodeId>(states.size()); ++i) {
+    if (std::find(faulty_.begin(), faulty_.end(), i) == faulty_.end()) correct_.push_back(i);
   }
   const std::size_t m =
-      std::min<std::size_t>(static_cast<std::size_t>(sample_receivers_), correct.size());
+      std::min<std::size_t>(static_cast<std::size_t>(sample_receivers_), correct_.size());
   sampled_.clear();
-  for (std::size_t j = 0; j < m; ++j) sampled_.push_back(correct[j * correct.size() / m]);
+  for (std::size_t j = 0; j < m; ++j) sampled_.push_back(correct_[j * correct_.size() / m]);
+  outs_.resize(m);
 
-  std::vector<State> received(states.begin(), states.end());
-  std::vector<std::uint64_t> outs(sampled_.size());
+  if (&algo != oracle_algo_) {
+    oracle_algo_ = &algo;
+    oracle_ = TowerOracle::make(algo);
+  }
+  if (oracle_ != nullptr) {
+    oracle_->begin_round(states, faulty_);
+    search(states, algo, rng, [this](NodeId v, std::span<const State> row) {
+      return oracle_->next_output(v, row);
+    });
+    return;
+  }
+  received_.assign(states.begin(), states.end());
+  counting::TransitionContext ctx{&rng};
+  search(states, algo, rng, [&](NodeId v, std::span<const State> row) {
+    for (std::size_t s = 0; s < faulty_.size(); ++s) {
+      received_[static_cast<std::size_t>(faulty_[s])] = row[s];
+    }
+    return algo.output(v, algo.transition(v, received_, ctx));
+  });
+}
+
+template <class NextOutput>
+void LookaheadAdversary::search(std::span<const State> states, const CountingAlgorithm& algo,
+                                util::Rng& rng, NextOutput next_output) {
+  const std::size_t nf = faulty_.size();
+  const std::size_t profile_size = nf * states.size();
 
   // Score = agreement among the sampled receivers after one round under the
-  // profile; each candidate costs |sample| transitions, not one per correct
-  // node, and the scored forgeries are evaluated once per round here rather
-  // than per (sender, receiver) query in message().
-  const auto score = [&](const std::vector<State>& profile) {
-    counting::TransitionContext ctx{&rng};
+  // profile; each candidate costs |sample| scores, not one per correct node.
+  const auto score = [&](std::span<const State> profile) {
     for (std::size_t j = 0; j < sampled_.size(); ++j) {
-      const NodeId i = sampled_[j];
-      for (std::size_t sidx = 0; sidx < faulty_.size(); ++sidx) {
-        received[static_cast<std::size_t>(faulty_[sidx])] =
-            profile[sidx * static_cast<std::size_t>(n_) + static_cast<std::size_t>(i)];
-      }
-      outs[j] = algo.output(i, algo.transition(i, received, ctx));
-      for (NodeId fj : faulty_) {
-        received[static_cast<std::size_t>(fj)] = states[static_cast<std::size_t>(fj)];
-      }
+      const NodeId v = sampled_[j];
+      outs_[j] = next_output(v, profile.subspan(static_cast<std::size_t>(v) * nf, nf));
     }
-    return agreement_score(outs);
+    return agreement_score(outs_);
   };
-
-  std::vector<State> best_profile;
-  int best_score = n_ + 1;
 
   // Seed the search with the previous round's winner: a profile that split
   // the correct nodes last round usually keeps splitting them, so the random
-  // candidates only have to beat a known-good incumbent.
-  if (profile_size > 0 && cached_.size() == profile_size) {
-    best_score = score(cached_);
-    best_profile = cached_;
-  }
+  // candidates only have to beat a known-good incumbent. Without one, the
+  // first candidate wins.
+  int best_score = static_cast<int>(sampled_.size()) + 1;
+  if (chosen_.size() == profile_size) best_score = score(chosen_);
 
   for (int cand = 0; cand < candidates_; ++cand) {
     // Draw a candidate profile: a mix of random states and replayed correct
-    // states (replays are often more damaging than noise).
-    std::vector<State> profile(profile_size);
-    for (auto& s : profile) {
-      if (rng.next_bool(0.5)) {
-        s = random_state(algo, rng);
-      } else {
-        s = states[rng.next_below(states.size())];
+    // states (replays are often more damaging than noise), sender by sender
+    // and receivers in order within a sender.
+    candidate_.resize(profile_size);
+    for (std::size_t s = 0; s < nf; ++s) {
+      for (std::size_t r = 0; r < states.size(); ++r) {
+        State& e = candidate_[r * nf + s];
+        if (rng.next_bool(0.5)) {
+          e = random_state(algo, rng);
+        } else {
+          e = states[rng.next_below(states.size())];
+        }
       }
     }
-    const int sc = score(profile);
+    const int sc = score(candidate_);
     if (sc < best_score) {
       best_score = sc;
-      best_profile = std::move(profile);
+      chosen_.swap(candidate_);
     }
   }
-  chosen_ = std::move(best_profile);
-  cached_ = chosen_;
 }
 
 State LookaheadAdversary::message(std::uint64_t, NodeId sender, NodeId receiver,
@@ -398,7 +417,7 @@ State LookaheadAdversary::message(std::uint64_t, NodeId sender, NodeId receiver,
   const auto it = std::find(faulty_.begin(), faulty_.end(), sender);
   if (it == faulty_.end() || chosen_.empty()) return random_state(algo, rng);
   const auto sidx = static_cast<std::size_t>(it - faulty_.begin());
-  return chosen_[sidx * static_cast<std::size_t>(n_) + static_cast<std::size_t>(receiver)];
+  return chosen_[static_cast<std::size_t>(receiver) * faulty_.size() + sidx];
 }
 
 std::unique_ptr<Adversary> make_adversary(const std::string& name) {

@@ -13,9 +13,10 @@
 //  * TargetedVoteAdversary-- crafts states that vote for conflicting leader
 //                            blocks / phase-king values per receiver half by
 //                            permuting received correct states.
-//  * LookaheadAdversary   -- 1-round lookahead: simulates K candidate message
-//                            profiles and commits to the one minimising
-//                            agreement among correct nodes.
+//  * LookaheadAdversary   -- 1-round lookahead: scores K candidate message
+//                            profiles by the next outputs they cause and
+//                            commits to the one minimising agreement among
+//                            correct nodes.
 #pragma once
 
 #include <memory>
@@ -24,6 +25,8 @@
 #include "sim/adversary.hpp"
 
 namespace synccount::sim {
+
+class TowerOracle;  // sim/composed_runner.hpp
 
 class SilentAdversary final : public Adversary {
  public:
@@ -160,8 +163,20 @@ class LookaheadAdversary final : public Adversary {
   // pair, which made this adversary dominate experiment wall time; bounding
   // the score to a fixed receiver sample and seeding the search with the
   // previous round's winning profile keeps the attack quality while making
-  // the per-round cost O(candidates * sample) instead of O(candidates * n).
+  // the per-round cost O(candidates * sample) scores instead of
+  // O(candidates * n).
+  //
+  // One score is the next output of one sampled receiver. On towers that
+  // TowerOracle::make accepts (boosted top level, no fresh-sampling level)
+  // it comes from the oracle: one majority read-off over tallies fixed for
+  // the round plus one phase-king step, O(f + k*m + tau + N) without
+  // allocation. Elsewhere it is algo.output(algo.transition(...)) on the
+  // patched received view. Both give the same value and draw the same
+  // randomness (none on the oracle's towers), so the search, and with it
+  // every message(), is the same either way. Rounds without faulty nodes
+  // skip the search: there is nothing to forge.
   explicit LookaheadAdversary(int candidates = 4, int sample_receivers = 4);
+  ~LookaheadAdversary() override;
 
   void begin_round(std::uint64_t round, std::span<const State> true_states,
                    const CountingAlgorithm& algo, std::span<const NodeId> faulty_ids,
@@ -177,14 +192,28 @@ class LookaheadAdversary final : public Adversary {
   std::string name() const override { return "lookahead"; }
 
  private:
+  // The round's search: scores the incumbent and each drawn candidate with
+  // next_output(v, row) -- v's output after this round when the faulty
+  // senders send it `row` -- and leaves the winner in chosen_.
+  template <class NextOutput>
+  void search(std::span<const State> states, const CountingAlgorithm& algo, util::Rng& rng,
+              NextOutput next_output);
+
   int candidates_;
   int sample_receivers_;
   std::vector<NodeId> faulty_;
+  std::vector<NodeId> correct_;
   std::vector<NodeId> sampled_;  // receiver subset candidates are scored on
-  // chosen_[s * n + r] = message of faulty node faulty_[s] to receiver r.
+  // Profiles are receiver-major: profile[r * |faulty| + s] is the message of
+  // faulty node faulty_[s] to receiver r, so receiver r's row is contiguous.
+  // chosen_ is the current winner and, next round, the incumbent.
   std::vector<State> chosen_;
-  std::vector<State> cached_;  // last round's winner, re-scored as candidate 0
-  int n_ = 0;
+  std::vector<State> candidate_;
+  std::vector<State> received_;  // received view of the transition fallback
+  std::vector<std::uint64_t> outs_;
+  // Scorer for the algorithm at oracle_algo_ (null: transition fallback).
+  const CountingAlgorithm* oracle_algo_ = nullptr;
+  std::unique_ptr<TowerOracle> oracle_;
 };
 
 // Factory covering all strategies, keyed by name (for CLI-driven benches).

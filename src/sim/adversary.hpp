@@ -32,7 +32,7 @@ using counting::State;
 //  * states[p * num_faulty + k] is the (possibly raw, uncanonicalised) state
 //    profile p receives from faulty sender faulty_ids[k]. Raw patterns are
 //    allowed because every consumer reduces them exactly like canonicalize
-//    (see the decompose-raw note in composed_runner.cpp).
+//    (see decode_base in composed_runner.cpp).
 //  * profile_of[receiver] names the profile each receiver observes; an empty
 //    vector means every receiver sees profile 0. Only correct receivers'
 //    entries are read.
@@ -172,9 +172,13 @@ class Adversary {
   // pulling levels) without perturbing the draw order.
   virtual bool message_draw_free() const noexcept { return false; }
 
-  // Return false for strategies whose begin_round() runs its own simulation
-  // search (e.g. lookahead): they dominate the round cost, so batching the
-  // transition buys nothing and the engine keeps them on the scalar runner.
+  // Return false to keep a strategy's groups on the scalar runner. Only
+  // lookahead does. Its search no longer dominates the round cost (it scores
+  // through TowerOracle, sim/composed_runner.hpp), and the composed backend
+  // could supply the same oracle from its lane tallies. It stays scalar
+  // because the repo benchmark's metric table (perfbench) measures the
+  // scalar runner on the workload that runs it and has no composed-runner
+  // entry for it; the benchmark has to change first.
   virtual bool batchable() const noexcept { return true; }
 
   virtual std::string name() const = 0;

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <optional>
 #include <span>
+#include <tuple>
 #include <utility>
 
 #include "boosting/boosted_counter.hpp"
@@ -46,28 +48,26 @@ ComposedLevel make_level(ComposedLevel::Kind kind, int n, int N, int k, int m, i
   return lv;
 }
 
-}  // namespace
-
-std::shared_ptr<const ComposedCompiledTable> ComposedCompiledTable::compile(
-    const counting::AlgorithmPtr& algo) {
-  if (algo == nullptr) return nullptr;
-  auto cc = std::make_shared<ComposedCompiledTable>();
-  cc->algo = algo;
-  cc->N = algo->num_nodes();
-  cc->state_bits = algo->state_bits();
-  cc->modulus = algo->modulus();
+// The tower walk behind ComposedCompiledTable::compile and TowerOracle::make.
+// Borrows `algo`: the result's base table and level parameters stay valid
+// only while it lives (compile adds the keep-alive).
+std::optional<ComposedCompiledTable> compile_tower(const counting::CountingAlgorithm& algo) {
+  ComposedCompiledTable cc;
+  cc.N = algo.num_nodes();
+  cc.state_bits = algo.state_bits();
+  cc.modulus = algo.modulus();
 
   // Walk the tower top-down, collecting one ComposedLevel per wrapper.
   std::vector<ComposedLevel> top_down;
-  const counting::CountingAlgorithm* cur = algo.get();
+  const counting::CountingAlgorithm* cur = &algo;
   for (;;) {
     if (const auto* b = dynamic_cast<const boosting::BoostedCounter*>(cur)) {
-      top_down.push_back(make_level(ComposedLevel::Kind::kBoosted, b->num_nodes(), cc->N,
+      top_down.push_back(make_level(ComposedLevel::Kind::kBoosted, b->num_nodes(), cc.N,
                                     b->k(), b->m(), b->tau(), b->modulus(), b->resilience(),
                                     b->inner()));
       cur = &b->inner();
     } else if (const auto* p = dynamic_cast<const pulling::PullingBoostedCounter*>(cur)) {
-      ComposedLevel lv = make_level(ComposedLevel::Kind::kPulling, p->num_nodes(), cc->N,
+      ComposedLevel lv = make_level(ComposedLevel::Kind::kPulling, p->num_nodes(), cc.N,
                                     p->k(), p->m(), p->tau(), p->modulus(), p->resilience(),
                                     p->inner());
       lv.sample_size = p->sample_size();
@@ -79,37 +79,132 @@ std::shared_ptr<const ComposedCompiledTable> ComposedCompiledTable::compile(
       break;
     }
   }
-  if (top_down.empty()) return nullptr;  // flat algorithms go to the table path
+  if (top_down.empty()) return std::nullopt;  // flat algorithms go to the table path
 
   if (const auto* t = dynamic_cast<const counting::TrivialCounter*>(cur)) {
-    cc->base.kind = ComposedBase::Kind::kTrivial;
-    cc->base.n = 1;
-    cc->base.num_states = t->modulus();
+    cc.base.kind = ComposedBase::Kind::kTrivial;
+    cc.base.n = 1;
+    cc.base.num_states = t->modulus();
   } else if (const auto* t2 = dynamic_cast<const counting::TableAlgorithm*>(cur)) {
-    cc->base.kind = ComposedBase::Kind::kTable;
-    cc->base.n = t2->num_nodes();
-    cc->base.num_states = t2->table().num_states;
-    cc->base.table = &t2->compiled();
+    cc.base.kind = ComposedBase::Kind::kTable;
+    cc.base.n = t2->num_nodes();
+    cc.base.num_states = t2->table().num_states;
+    cc.base.table = &t2->compiled();
   } else {
-    return nullptr;  // unknown base: stay on the scalar runner
+    return std::nullopt;  // unknown base: stay on the scalar runner
   }
   // Wider table bases would overflow the fixed per-block index scratch; such
   // towers fall back to the scalar runner rather than failing at run time.
-  if (cc->base.n > 256) return nullptr;
-  cc->base.copies = cc->N / cc->base.n;
-  cc->base.bits = cur->state_bits();
+  if (cc.base.n > 256) return std::nullopt;
+  cc.base.copies = cc.N / cc.base.n;
+  cc.base.bits = cur->state_bits();
 
-  cc->levels.assign(top_down.rbegin(), top_down.rend());
+  cc.levels.assign(top_down.rbegin(), top_down.rend());
 
   // The field layout must tile the flat state exactly: base bits, then one
   // (a, d) register pair per level.
-  int bits = cc->base.bits;
-  for (const ComposedLevel& lv : cc->levels) {
+  int bits = cc.base.bits;
+  for (const ComposedLevel& lv : cc.levels) {
     SC_CHECK(lv.a_offset == bits, "composed state layout mismatch");
     bits += lv.a_bits + 1;
   }
-  SC_CHECK(bits == cc->state_bits, "composed state width mismatch");
+  SC_CHECK(bits == cc.state_bits, "composed state width mismatch");
   return cc;
+}
+
+// --- Field decode and vote read-off, shared by ComposedBlock and TowerOracle.
+// They run in the composed kernel's per-vote and per-decode loops, so they
+// are declared inline.
+
+// Base state index of (canonical or raw) state `s`. Decoding a raw pattern
+// directly equals decoding canonicalize(s): the base index reduces modulo the
+// state count and the a register decodes by clamping (decode_registers),
+// exactly as the scalar construction's canonicalize does.
+inline std::uint64_t decode_base(const ComposedBase& b, const State& s) {
+  return s.get_bits(0, b.bits) % b.num_states;
+}
+
+// Level `lv`'s (a, d) phase-king registers of (canonical or raw) state `s`.
+inline phaseking::Registers decode_registers(const ComposedLevel& lv, const State& s) {
+  return {phaseking::decode_a(s.get_bits(lv.a_offset, lv.a_bits), lv.C),
+          s.get_bit(lv.a_offset + lv.a_bits)};
+}
+
+// Output of a boosted or pulling level whose a register holds `a`.
+inline std::uint64_t register_output(std::uint64_t a) { return a == kInfinity ? 0 : a; }
+
+// Output of the base algorithm at global node u in base state index `idx`.
+inline std::uint64_t base_output(const ComposedBase& b, NodeId u, std::uint64_t idx) {
+  if (b.kind == ComposedBase::Kind::kTrivial) return idx;
+  return b.table->out(u % b.n, static_cast<std::uint8_t>(idx));
+}
+
+// Where a sender's leader pointer b and round counter r are counted at a
+// boosted level: the first count of its block's tally row (m leader-pointer
+// counts, then tau round-counter counts) and the divisor tau * (2m)^blk that
+// extracts b from its inner output.
+struct TallyRow {
+  std::size_t row = 0;
+  std::uint64_t div = 1;
+};
+
+// Global sender u's tally row at boosted level `lv`, whose first block row
+// starts at `offset`; copy c's block blk is the level's global block c*k+blk.
+TallyRow tally_row(const ComposedLevel& lv, std::size_t offset, NodeId u) {
+  const int g = u / lv.n_inner;
+  return {offset + static_cast<std::size_t>(g) * static_cast<std::size_t>(lv.m + lv.tau),
+          static_cast<std::uint64_t>(lv.tau) * lv.pow2m[static_cast<std::size_t>(g % lv.k)]};
+}
+
+// Tally indices of the leader pointer b and round counter r of a sender with
+// row `t` and inner output `o` (BoostedCounter::block_view). block_view first
+// reduces the output modulo tau * (2m)^(blk+1); tau and m both divide that
+// modulus, so r = o mod tau and b = floor(o / (tau * (2m)^blk)) mod m.
+inline std::pair<std::size_t, std::size_t> tally_pos(const ComposedLevel& lv, const TallyRow& t,
+                                                     std::uint64_t o) {
+  const auto m = static_cast<std::size_t>(lv.m);
+  return {t.row + o / t.div % m, t.row + m + o % static_cast<std::uint64_t>(lv.tau)};
+}
+
+// The value in [0, bound) counted more than `threshold` times, or 0: the
+// strict majority of the counted values.
+inline std::uint64_t counted_majority(const std::uint32_t* counts, std::uint64_t bound,
+                                      std::size_t threshold) {
+  for (std::uint64_t v = 0; v < bound; ++v) {
+    if (counts[v] > threshold) return v;
+  }
+  return 0;
+}
+
+// The votes (B, R) of one copy of boosted level `lv` (paper step 3), read off
+// the copy's per-block tallies; `rows` points at its block 0 row. Equal to
+// BoostedCounter::votes on the view the tallies count: every majority is
+// strict (more than half of the values), so at most one value can pass and
+// the counting order does not matter. `lead_cnt` holds m zero counts and is
+// left zeroed.
+inline std::pair<std::uint64_t, std::uint64_t> read_votes(const ComposedLevel& lv,
+                                                          const std::uint32_t* rows,
+                                                          std::uint32_t* lead_cnt) {
+  const auto m = static_cast<std::uint64_t>(lv.m);
+  const auto tau = static_cast<std::uint64_t>(lv.tau);
+  const auto half = static_cast<std::size_t>(lv.n_inner) / 2;
+  for (int blk = 0; blk < lv.k; ++blk) {
+    ++lead_cnt[counted_majority(rows + static_cast<std::size_t>(blk) * (m + tau), m, half)];
+  }
+  const std::uint64_t B = counted_majority(lead_cnt, m, static_cast<std::size_t>(lv.k) / 2);
+  std::fill_n(lead_cnt, m, 0);
+  return {B, counted_majority(rows + B * (m + tau) + m, tau, half)};
+}
+
+}  // namespace
+
+std::shared_ptr<const ComposedCompiledTable> ComposedCompiledTable::compile(
+    const counting::AlgorithmPtr& algo) {
+  if (algo == nullptr) return nullptr;
+  std::optional<ComposedCompiledTable> cc = compile_tower(*algo);
+  if (!cc) return nullptr;
+  cc->algo = algo;
+  return std::make_shared<const ComposedCompiledTable>(std::move(*cc));
 }
 
 namespace {
@@ -203,15 +298,12 @@ class ComposedBlock {
       // counts, then tau round-counter counts. Copy c's block blk is the
       // level's global block c * k + blk.
       if (lv.kind != ComposedLevel::Kind::kBoosted) continue;
-      const auto stride = static_cast<std::size_t>(lv.m + lv.tau);
       tally_rows_[lvl].resize(nn);
       for (int u = 0; u < N_; ++u) {
-        const int g = u / lv.n_inner;
-        tally_rows_[lvl][static_cast<std::size_t>(u)] = {
-            tally_size + static_cast<std::size_t>(g) * stride,
-            static_cast<std::uint64_t>(lv.tau) * lv.pow2m[static_cast<std::size_t>(g % lv.k)]};
+        tally_rows_[lvl][static_cast<std::size_t>(u)] = tally_row(lv, tally_size, u);
       }
-      tally_size += static_cast<std::size_t>(lv.copies * lv.k) * stride;
+      tally_size +=
+          static_cast<std::size_t>(lv.copies * lv.k) * static_cast<std::size_t>(lv.m + lv.tau);
     }
     vote_B_.assign(total_copies_, 0);
     vote_R_.assign(total_copies_, 0);
@@ -346,8 +438,7 @@ class ComposedBlock {
     bool agreed = true;
     std::uint64_t first = 0;
     for (std::size_t j = 0; j < correct_.size(); ++j) {
-      const std::uint64_t a = top_a[lane_off + static_cast<std::size_t>(correct_[j])];
-      outs_[j] = a == kInfinity ? 0 : a;
+      outs_[j] = register_output(top_a[lane_off + static_cast<std::size_t>(correct_[j])]);
       if (j == 0) {
         first = outs_[0];
       } else if (outs_[j] != first) {
@@ -452,18 +543,15 @@ class ComposedBlock {
   // --- Field <-> BitVec -----------------------------------------------------
 
   // Writes the decomposed fields of (canonical or raw) state `s` into slot
-  // `idx` of the given field arrays. Decomposing a raw pattern directly
-  // equals decomposing canonicalize(s): the base index reduces modulo the
-  // state count and the a register decodes by clamping, exactly as the
-  // scalar construction's canonicalize does.
+  // `idx` of the given field arrays (see decode_base for raw patterns).
   void decompose(const State& s, std::size_t idx, std::vector<std::uint64_t>& base,
                  std::vector<std::vector<std::uint64_t>>& a,
                  std::vector<std::vector<std::uint8_t>>& d) const {
-    base[idx] = s.get_bits(0, cc_.base.bits) % cc_.base.num_states;
+    base[idx] = decode_base(cc_.base, s);
     for (std::size_t lvl = 0; lvl < L_; ++lvl) {
-      const ComposedLevel& lv = cc_.levels[lvl];
-      a[lvl][idx] = phaseking::decode_a(s.get_bits(lv.a_offset, lv.a_bits), lv.C);
-      d[lvl][idx] = s.get_bit(lv.a_offset + lv.a_bits) ? 1 : 0;
+      const phaseking::Registers reg = decode_registers(cc_.levels[lvl], s);
+      a[lvl][idx] = reg.a;
+      d[lvl][idx] = reg.d ? 1 : 0;
     }
   }
 
@@ -695,27 +783,15 @@ class ComposedBlock {
   // Output of the inner algorithm of level `lvl` at global node u, read from
   // the received view (exactly what block_view / the vote sampling read).
   std::uint64_t inner_out(std::size_t lvl, NodeId u) const {
-    if (lvl == 0) {
-      if (cc_.base.kind == ComposedBase::Kind::kTrivial) {
-        return rp_base_[static_cast<std::size_t>(u)];
-      }
-      return cc_.base.table->out(u % cc_.base.n,
-                                 static_cast<std::uint8_t>(rp_base_[static_cast<std::size_t>(u)]));
-    }
-    const std::uint64_t a = rp_a_[lvl - 1][static_cast<std::size_t>(u)];
-    return a == kInfinity ? 0 : a;
+    const auto uu = static_cast<std::size_t>(u);
+    return lvl == 0 ? base_output(cc_.base, u, rp_base_[uu]) : register_output(rp_a_[lvl - 1][uu]);
   }
 
   // Tally indices of sender u's leader pointer b and round counter r at
-  // boosted level `lvl` (block_view on the received view). block_view first
-  // reduces the output modulo tau * (2m)^(blk+1); tau and m both divide that
-  // modulus, so r = o mod tau and b = floor(o / (tau * (2m)^blk)) mod m.
-  std::pair<std::size_t, std::size_t> tally_pos(std::size_t lvl, NodeId u) const {
-    const ComposedLevel& lv = cc_.levels[lvl];
-    const TallyRow& t = tally_rows_[lvl][static_cast<std::size_t>(u)];
-    const auto m = static_cast<std::size_t>(lv.m);
-    const std::uint64_t o = inner_out(lvl, u);
-    return {t.row + o / t.div % m, t.row + m + o % static_cast<std::uint64_t>(lv.tau)};
+  // boosted level `lvl`, read from the received view.
+  std::pair<std::size_t, std::size_t> sender_pos(std::size_t lvl, NodeId u) const {
+    return tally_pos(cc_.levels[lvl], tally_rows_[lvl][static_cast<std::size_t>(u)],
+                     inner_out(lvl, u));
   }
 
   // Per-block (b, r) counts of every boosted level copy over its correct
@@ -726,50 +802,30 @@ class ComposedBlock {
     for (std::size_t lvl = 0; lvl < L_; ++lvl) {
       if (cc_.levels[lvl].kind != ComposedLevel::Kind::kBoosted) continue;
       for (const NodeId u : correct_) {
-        const auto [ib, ir] = tally_pos(lvl, u);
+        const auto [ib, ir] = sender_pos(lvl, u);
         ++tally_[ib];
         ++tally_[ir];
       }
     }
   }
 
-  // The value in [0, bound) counted more than `threshold` times, or 0: the
-  // strict majority of the counted values.
-  static std::uint64_t counted_majority(const std::uint32_t* counts, std::uint64_t bound,
-                                        std::size_t threshold) {
-    for (std::uint64_t v = 0; v < bound; ++v) {
-      if (counts[v] > threshold) return v;
-    }
-    return 0;
-  }
-
   // Majority votes of one copy of a boosted level (paper step 3), equal to
   // BoostedCounter::votes on the received view: the copy's faulty senders as
   // this view sees them are added to its correct-sender tallies, the
-  // majorities are read off the counts, and the faulty senders are taken out
-  // again. Every majority is strict (more than half of the values), so at
-  // most one value can pass and the counting order does not matter. `first`
-  // is the copy's first node; its tally row is the copy's block 0.
+  // majorities are read off the counts (read_votes), and the faulty senders
+  // are taken out again. `first` is the copy's first node; its tally row is
+  // the copy's block 0.
   void tally_votes(std::size_t lvl, NodeId first, std::size_t slot, std::uint64_t& B,
                    std::uint64_t& R) {
-    const ComposedLevel& lv = cc_.levels[lvl];
     const std::vector<NodeId>& in_copy = copy_faulty_[slot];
     for (std::size_t i = 0; i < in_copy.size(); ++i) {
-      patch_[i] = tally_pos(lvl, in_copy[i]);
+      patch_[i] = sender_pos(lvl, in_copy[i]);
       ++tally_[patch_[i].first];
       ++tally_[patch_[i].second];
     }
-    const auto m = static_cast<std::uint64_t>(lv.m);
-    const auto tau = static_cast<std::uint64_t>(lv.tau);
-    const auto half = static_cast<std::size_t>(lv.n_inner) / 2;
-    const std::uint32_t* rows =
-        tally_.data() + tally_rows_[lvl][static_cast<std::size_t>(first)].row;
-    for (int blk = 0; blk < lv.k; ++blk) {
-      ++lead_cnt_[counted_majority(rows + static_cast<std::size_t>(blk) * (m + tau), m, half)];
-    }
-    B = counted_majority(lead_cnt_.data(), m, static_cast<std::size_t>(lv.k) / 2);
-    std::fill_n(lead_cnt_.begin(), m, 0);
-    R = counted_majority(rows + B * (m + tau) + m, tau, half);
+    std::tie(B, R) = read_votes(
+        cc_.levels[lvl], tally_.data() + tally_rows_[lvl][static_cast<std::size_t>(first)].row,
+        lead_cnt_.data());
     for (std::size_t i = 0; i < in_copy.size(); ++i) {
       --tally_[patch_[i].first];
       --tally_[patch_[i].second];
@@ -1004,13 +1060,8 @@ class ComposedBlock {
 
   // Correct-sender vote tallies of the lane-round, one row per block of a
   // boosted level: m leader-pointer counts, then tau round-counter counts.
-  // tally_rows_[level][u] is sender u's block row and the divisor
-  // tau * (2m)^blk of its leader pointer. patch_ holds the tally indices of
-  // the faulty senders a vote adds, so it can take them out again.
-  struct TallyRow {
-    std::size_t row = 0;
-    std::uint64_t div = 1;
-  };
+  // tally_rows_[level][u] is sender u's TallyRow. patch_ holds the tally
+  // indices of the faulty senders a vote adds, so it can take them out again.
   std::vector<std::vector<NodeId>> copy_faulty_;  // [slot] -> faulty ids in the copy
   std::vector<std::vector<TallyRow>> tally_rows_;
   std::vector<std::uint32_t> tally_;
@@ -1051,6 +1102,75 @@ std::vector<RunResult> run_composed_batch(const BatchConfig& cfg,
     for (auto& r : part) results.push_back(std::move(r));
   }
   return results;
+}
+
+std::unique_ptr<TowerOracle> TowerOracle::make(const counting::CountingAlgorithm& algo) {
+  std::optional<ComposedCompiledTable> cc = compile_tower(algo);
+  if (!cc || cc->levels.back().kind != ComposedLevel::Kind::kBoosted) return nullptr;
+  for (const ComposedLevel& lv : cc->levels) {
+    if (lv.kind == ComposedLevel::Kind::kPulling && !lv.fixed_sampling) return nullptr;
+  }
+  return std::unique_ptr<TowerOracle>(new TowerOracle(std::move(*cc)));
+}
+
+TowerOracle::TowerOracle(ComposedCompiledTable cc) : cc_(std::move(cc)) {
+  const ComposedLevel& top = cc_.levels.back();  // one copy of N nodes
+  tally_.assign(static_cast<std::size_t>(top.k) * static_cast<std::size_t>(top.m + top.tau), 0);
+  lead_cnt_.assign(static_cast<std::size_t>(top.m), 0);
+  a_.assign(static_cast<std::size_t>(cc_.N), 0);
+  d_.assign(static_cast<std::size_t>(cc_.N), 0);
+}
+
+std::pair<std::size_t, std::size_t> TowerOracle::sender_pos(NodeId u, const State& s) const {
+  // The top level's inner output: the base's below a single level, else the
+  // a register of the level below.
+  const std::size_t L = cc_.levels.size();
+  const std::uint64_t o = L == 1 ? base_output(cc_.base, u, decode_base(cc_.base, s))
+                                 : register_output(decode_registers(cc_.levels[L - 2], s).a);
+  const ComposedLevel& top = cc_.levels.back();
+  return tally_pos(top, tally_row(top, 0, u), o);
+}
+
+void TowerOracle::begin_round(std::span<const State> states, std::span<const NodeId> faulty) {
+  SC_CHECK(states.size() == a_.size(), "oracle round needs every node's state");
+  const ComposedLevel& top = cc_.levels.back();
+  faulty_.assign(faulty.begin(), faulty.end());
+  patch_.resize(faulty_.size());
+  std::fill(tally_.begin(), tally_.end(), 0);
+  for (int u = 0; u < cc_.N; ++u) {
+    const auto uu = static_cast<std::size_t>(u);
+    const phaseking::Registers reg = decode_registers(top, states[uu]);
+    a_[uu] = reg.a;
+    d_[uu] = reg.d ? 1 : 0;
+    const auto [ib, ir] = sender_pos(u, states[uu]);
+    ++tally_[ib];
+    ++tally_[ir];
+  }
+  // Only correct senders stay counted: each query patches in the faulty ones.
+  for (const NodeId u : faulty_) {
+    const auto [ib, ir] = sender_pos(u, states[static_cast<std::size_t>(u)]);
+    --tally_[ib];
+    --tally_[ir];
+  }
+}
+
+std::uint64_t TowerOracle::next_output(NodeId v, std::span<const State> msgs) {
+  SC_ASSERT(msgs.size() == faulty_.size());
+  const ComposedLevel& top = cc_.levels.back();
+  for (std::size_t k = 0; k < faulty_.size(); ++k) {
+    a_[static_cast<std::size_t>(faulty_[k])] = decode_registers(top, msgs[k]).a;
+    patch_[k] = sender_pos(faulty_[k], msgs[k]);
+    ++tally_[patch_[k].first];
+    ++tally_[patch_[k].second];
+  }
+  const std::uint64_t R = read_votes(top, tally_.data(), lead_cnt_.data()).second;
+  for (const auto& [ib, ir] : patch_) {
+    --tally_[ib];
+    --tally_[ir];
+  }
+  const auto vv = static_cast<std::size_t>(v);
+  const phaseking::Registers own{a_[vv], d_[vv] != 0};
+  return register_output(phaseking::step(top.pk, static_cast<int>(R), v, own, a_).a);
 }
 
 }  // namespace synccount::sim

@@ -46,6 +46,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "counting/table_algorithm.hpp"
@@ -98,6 +100,7 @@ struct ComposedBase {
 // threads and lanes.
 struct ComposedCompiledTable {
   counting::AlgorithmPtr algo;        // keep-alive for base/table/inner refs
+                                      // (null in a TowerOracle's borrowed copy)
   ComposedBase base;
   std::vector<ComposedLevel> levels;  // bottom-up; back() is the top level
   int N = 0;                          // top-level node count
@@ -108,6 +111,55 @@ struct ComposedCompiledTable {
   // boosted/pulling level over a trivial or table base).
   static std::shared_ptr<const ComposedCompiledTable> compile(
       const counting::AlgorithmPtr& algo);
+};
+
+// One-round output oracle of a tower with a boosted top level. In Theorem
+// 1's tower a node's next output is one phase-king step on majority votes,
+// and both read only round-start fields, so the oracle answers "what does
+// correct node v output after this round if faulty sender faulty[k] sends it
+// msgs[k]?" without running the recursive transition. Once per round,
+// begin_round decodes the round-start states and tallies the top level's
+// correct senders. Each next_output patches the faulty senders into the
+// tallies, reads the majorities off the counts and runs one phaseking::step:
+// O(f + k*m + tau + N), no allocation. It shares the vote read-off and the
+// field decode with the composed runner.
+//
+// Lifetime: make() borrows `algo` (the compiled base table stays owned by
+// the algorithm), so an oracle must not outlive it. An owner keeps the
+// oracle next to the address it was built for and rebuilds it when the
+// address changes, like Adversary::IdxGuard; inside one adversary instance,
+// which never outlives its run, the algorithm stays alive throughout.
+class TowerOracle {
+ public:
+  // nullptr unless `algo` is a composed tower whose top level is boosted and
+  // none of whose levels samples fresh randomness: then a transition draws
+  // nothing from the execution's Rng, and skipping it changes no draw.
+  // Flat algorithms and pulling top levels are rejected too.
+  static std::unique_ptr<TowerOracle> make(const counting::CountingAlgorithm& algo);
+
+  // Fixes the round: `states` are all nodes' round-start states (canonical),
+  // `faulty` the faulty senders whose messages each query supplies.
+  void begin_round(std::span<const State> states, std::span<const NodeId> faulty);
+
+  // algo.output(v, algo.transition(v, received, ctx)) for correct node v,
+  // where `received` is the round-start states with received[faulty[k]] =
+  // msgs[k]. Messages may be raw patterns: they are decoded exactly like
+  // canonicalize reduces them.
+  std::uint64_t next_output(NodeId v, std::span<const State> msgs);
+
+ private:
+  explicit TowerOracle(ComposedCompiledTable cc);
+
+  // Tally indices of node u's b and r at the top level in state s.
+  std::pair<std::size_t, std::size_t> sender_pos(NodeId u, const State& s) const;
+
+  ComposedCompiledTable cc_;  // borrowed compile: cc_.algo stays null
+  std::vector<std::uint32_t> tally_;      // correct senders' (b, r) counts
+  std::vector<std::uint32_t> lead_cnt_;   // block-leader counts, zero between queries
+  std::vector<std::uint64_t> a_;          // [u] top a register; faulty entries per query
+  std::vector<std::uint8_t> d_;           // [u] top d flag
+  std::vector<NodeId> faulty_;
+  std::vector<std::pair<std::size_t, std::size_t>> patch_;
 };
 
 // Runs seeds.size() executions of the composed algorithm (internally in

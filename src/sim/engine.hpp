@@ -17,9 +17,10 @@
 // (bit-parallel path) or a BoostedCounter / PullingBoostedCounter tower
 // (composed path, sim/composed_runner.hpp) -- and whose adversary is
 // batchable runs through run_batch in lockstep chunks of up to 64 seeds;
-// every other cell (unknown compositions, per-cell factories, search
-// adversaries like lookahead) stays on the scalar runner. All backends
-// produce bit-identical RunResults, so mixing them never changes an
+// every other cell (unknown compositions, per-cell factories, and lookahead,
+// which stays scalar until the benchmark can measure it on the composed
+// backend -- see Adversary::batchable) stays on the scalar runner. All
+// backends produce bit-identical RunResults, so mixing them never changes an
 // aggregate.
 #pragma once
 

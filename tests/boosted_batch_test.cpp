@@ -16,34 +16,14 @@
 #include "sim/engine.hpp"
 #include "sim/faults.hpp"
 #include "synthesis/known_tables.hpp"
+#include "towers.hpp"
 
 namespace {
 
 using namespace synccount;
 
-counting::AlgorithmPtr practical(int f, std::uint64_t C = 10) {
-  return boosting::build_plan(boosting::plan_practical(f, C));
-}
-
-// One boosted level over a transition-table base: exercises the kTable base
-// kernel (blocks of n_inner > 1 at the bottom). The base table's behaviour
-// is arbitrary -- the differential test only compares backends against each
-// other -- but its modulus satisfies Theorem 1's constraint
-// c = 3(F+2)(2m)^k = 576 for k = 3, F = 1.
-counting::AlgorithmPtr boosted_over_table() {
-  counting::TransitionTable t;
-  t.n = 2;
-  t.f = 0;
-  t.num_states = 4;
-  t.modulus = boosting::required_input_modulus(3, 1);
-  t.symmetry = counting::Symmetry::kCyclic;
-  t.g.resize(16);
-  for (std::size_t i = 0; i < t.g.size(); ++i) t.g[i] = static_cast<std::uint8_t>((i * 5 + 1) % 4);
-  t.h = {3, 100, 200, 50};
-  t.label = "table-base-test";
-  auto base = std::make_shared<counting::TableAlgorithm>(std::move(t));
-  return std::make_shared<boosting::BoostedCounter>(base, boosting::BoostParams{3, 1, 10});
-}
+using test::boosted_over_table;
+using test::practical;
 
 counting::AlgorithmPtr pulling_counter(int M, pulling::SamplingMode mode,
                                        std::uint64_t seed = 0x5eedULL) {
