@@ -38,7 +38,12 @@ using counting::State;
 //    entries are read.
 //  * profile_of must be a pure function of (round, faulty_ids, n) -- never of
 //    the rng or the states -- so that all lanes of a batch block share one
-//    receiver-to-profile map per round. The batched runners assert this.
+//    receiver-to-profile map per round.
+//
+// The batched runners check the map in every build (Lanes::check_profiles in
+// sim/lanes.hpp): num_profiles >= 1, profile_of empty or of size n with every
+// correct receiver's entry below num_profiles, and the same count and map in
+// every lane of the round. A violation throws std::logic_error.
 struct ForgedRound {
   int num_profiles = 0;
   std::vector<State> states;

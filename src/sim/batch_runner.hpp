@@ -12,7 +12,8 @@
 //    512-bit, auto-vectorised), so one enumeration pass over the compiled
 //    table advances up to 512 executions; the width is picked once per
 //    process from the host ISA (default_batch_words) unless pinned via
-//    BatchConfig::words.
+//    BatchConfig::words. The bit-sliced table step (sim/lanes.hpp) is the
+//    one the composed path runs on num_states <= 4 table bases.
 //  * BoostedCounter / PullingBoostedCounter towers -- the composed path
 //    (sim/composed_runner.hpp). Each boosting level is compiled into field
 //    stages (base kernel, per-copy votes, phase-king glue) evaluated on a
@@ -25,11 +26,12 @@
 // equality planes / byte rows once per (profile, sender) instead of once per
 // receiver.
 //
-// Per-execution randomness (initial states, adversary draws) always flows
-// through one Rng and one Adversary instance per lane, invoked in exactly
-// the scalar runner's call order, so every lane's RunResult is bit-identical
-// to run_execution on the same seed -- the engine can mix backends freely
-// without changing any aggregate.
+// Both paths drive their lanes through one lane driver (sim/lanes.hpp): one
+// Rng, Adversary and StabilisationChecker per lane, the scalar runner's
+// round-0 draw, placement check and stabilised rule (sim/runner.hpp), and
+// every adversary call in exactly the scalar runner's order. So every lane's
+// RunResult is bit-identical to run_execution on the same seed, and the
+// engine can mix backends freely without changing any aggregate.
 #pragma once
 
 #include <cstdint>
@@ -53,15 +55,15 @@ enum class BatchKernel { kAuto, kSoA, kBitSliced };
 // Plane words per batch block on the TableAlgorithm path: the word count the
 // process-wide auto width (BatchConfig::words == 0) resolves to. Picked once
 // per process from the host ISA -- 8 (512-bit planes) with AVX-512F, 4
-// (256-bit) with AVX2, else 2 -- and overridable for experiments via the
-// SYNCCOUNT_BATCH_WORDS environment variable (1, 2, 4 or 8). The width never
-// changes results, only how many executions one table pass advances.
+// (256-bit) with AVX2, else 2. The width never changes results, only how
+// many executions one table pass advances.
 int default_batch_words() noexcept;
 
 struct ComposedCompiledTable;
 
 struct BatchConfig {
-  // A TableAlgorithm or a supported composed counter (see batch_supported).
+  // A TableAlgorithm, or a BoostedCounter / PullingBoostedCounter tower over
+  // a trivial or table base (one ComposedCompiledTable::compile accepts).
   counting::AlgorithmPtr algo;
 
   // Optional: the pre-compiled hierarchy of `algo` (must have been produced
@@ -91,16 +93,11 @@ struct BatchConfig {
   int words = 0;
 };
 
-// True iff run_batch supports `algo`: a TableAlgorithm, or a
-// BoostedCounter / PullingBoostedCounter tower over a trivial or table base.
-// A convenience probe for external callers; the engine evaluates the same
-// predicate inline (engine.cpp) so it can keep the compiled hierarchy it
-// shares across chunk tasks instead of compiling twice.
-bool batch_supported(const counting::AlgorithmPtr& algo);
-
 // Runs seeds.size() executions (internally in blocks of up to 64 * words
 // lanes) and returns their RunResults in seed order; result[i] is
 // bit-identical to run_execution with seed seeds[i] and the same margin.
+// Throws std::invalid_argument on a bad fault vector (see Placement), also
+// when `seeds` is empty.
 std::vector<RunResult> run_batch(const BatchConfig& cfg);
 
 }  // namespace synccount::sim

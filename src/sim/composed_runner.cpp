@@ -12,8 +12,7 @@
 #include "counting/trivial.hpp"
 #include "phaseking/phase_king.hpp"
 #include "pulling/pulling_counter.hpp"
-#include "sim/checker.hpp"
-#include "sim/faults.hpp"
+#include "sim/lanes.hpp"
 #include "util/check.hpp"
 
 namespace synccount::sim {
@@ -22,8 +21,6 @@ namespace {
 
 using counting::NodeId;
 using phaseking::kInfinity;
-
-constexpr std::size_t kLanesPerWord = 64;
 
 ComposedLevel make_level(ComposedLevel::Kind kind, int n, int N, int k, int m, int tau,
                          std::uint64_t C, int F, const counting::CountingAlgorithm& inner) {
@@ -209,11 +206,12 @@ std::shared_ptr<const ComposedCompiledTable> ComposedCompiledTable::compile(
 
 namespace {
 
-// One block of up to 64 lanes advanced in round lockstep. Master state lives
-// decomposed: base_[lane*N + node] holds the base field and a_[lvl] / d_[lvl]
-// the per-level phase-king registers; BitVec states are materialised only for
-// adversaries that read them and for record_states. All scratch is allocated
-// once here, so the round loop is allocation-free.
+// One block of up to 64 lanes advanced in round lockstep. The lanes' Rngs,
+// adversaries, checkers and results live in lanes_ (sim/lanes.hpp). Master
+// state lives decomposed: base_[lane*N + node] holds the base field and
+// a_[lvl] / d_[lvl] the per-level phase-king registers; BitVec states are
+// materialised only for adversaries that read them and for record_states.
+// All scratch is allocated once here, so the round loop is allocation-free.
 //
 // Rounds run in one of two modes, picked once per block from the adversary's
 // declared traits:
@@ -242,23 +240,18 @@ namespace {
 // (tally_votes).
 class ComposedBlock {
  public:
-  ComposedBlock(const BatchConfig& cfg, const ComposedCompiledTable& cc,
+  ComposedBlock(const BatchConfig& cfg, const ComposedCompiledTable& cc, const Placement& placement,
                 std::span<const std::uint64_t> seeds)
-      : cfg_(cfg), cc_(cc), algo_(*cfg.algo), N_(cc.N), L_(cc.levels.size()), W_(seeds.size()) {
+      : lanes_(cfg, placement, seeds),
+        cc_(cc),
+        algo_(*cfg.algo),
+        N_(cc.N),
+        L_(cc.levels.size()),
+        W_(seeds.size()),
+        correct_(placement.correct_ids),
+        faulty_ids_(placement.faulty_ids),
+        faulty_index_(placement.faulty_index) {
     const auto nn = static_cast<std::size_t>(N_);
-
-    std::vector<bool> faulty = cfg.faulty;
-    if (faulty.empty()) faulty.assign(nn, false);
-    SC_CHECK(faulty.size() == nn, "fault vector size mismatch");
-    SC_CHECK(fault_count(faulty) <= algo_.resilience(),
-             "more faults than the algorithm's resilience");
-    faulty_ids_ = fault_ids(faulty);
-    for (int i = 0; i < N_; ++i) {
-      if (!faulty[static_cast<std::size_t>(i)]) correct_.push_back(i);
-    }
-    SC_CHECK(!correct_.empty(), "all nodes faulty");
-
-    margin_ = resolve_margin(cfg.margin, cfg.max_rounds, algo_.modulus());
 
     // Master fields and scratch.
     base_.assign(nn * W_, 0);
@@ -318,42 +311,17 @@ class ComposedBlock {
     sampled_a_.assign(mm, 0);
     outs_.assign(correct_.size(), 0);
 
-    // Lane setup mirrors the scalar runner's preamble draw for draw.
-    rngs_.reserve(W_);
-    advs_.reserve(W_);
-    checkers_.reserve(W_);
-    lanes_.resize(W_);
     for (std::size_t l = 0; l < W_; ++l) {
-      rngs_.emplace_back(seeds[l]);
-      advs_.push_back(cfg.adversary());
-      SC_CHECK(advs_.back() != nullptr, "batch adversary factory returned null");
-      checkers_.emplace_back(algo_.modulus());
-      LaneCold& ln = lanes_[l];
-      ln.result.correct_ids = correct_;
-      ln.states.resize(nn);
-      if (!cfg.initial.empty()) {
-        SC_CHECK(cfg.initial.size() == nn, "initial state vector size mismatch");
-        for (std::size_t i = 0; i < nn; ++i) ln.states[i] = algo_.canonicalize(cfg.initial[i]);
-      } else {
-        for (auto& s : ln.states) s = counting::arbitrary_state(algo_, rngs_[l]);
-      }
-      for (int i = 0; i < N_; ++i) {
-        decompose(ln.states[static_cast<std::size_t>(i)], l * nn + static_cast<std::size_t>(i),
-                  base_, a_, d_);
-      }
-      active_ |= 1ULL << l;
+      const std::vector<State>& states = lanes_.states(l);
+      for (std::size_t i = 0; i < nn; ++i) decompose(states[i], l * nn + i, base_, a_, d_);
     }
-    faultless_ = faulty_ids_.empty();
     bool tower_draws = false;
     for (const ComposedLevel& lv : cc_.levels) {
       if (lv.kind == ComposedLevel::Kind::kPulling && !lv.fixed_sampling) tower_draws = true;
     }
-    const Adversary& probe = *advs_.front();
-    state_oblivious_ = probe.state_oblivious();
-    passive_rounds_ = probe.begin_round_passive();
-    interleaved_ = !faultless_ && !probe.receiver_oblivious() && !probe.message_draw_free() &&
-                   tower_draws;
-    static_forge_ = !faultless_ && probe.receiver_oblivious() && probe.forgery_static();
+    const Adversary& probe = lanes_.probe();
+    interleaved_ = !lanes_.faultless() && !probe.receiver_oblivious() &&
+                   !probe.message_draw_free() && tower_draws;
     // Transitions draw iff the tower has a fresh-sampling pulling level, so
     // without one the profiled pass may group receivers by profile (one
     // received-view rebuild per profile instead of per receiver) without
@@ -366,73 +334,45 @@ class ComposedBlock {
     // and receiver-oblivious adversaries; set_profiles regrows on demand.
     prof_node_.assign(nn, 0);
     order_ = correct_;
-    frs_.resize(W_);
     resize_profiles(1);
     if (bs_base_) {
       pb_.assign(nn, {});
       npb_.assign(nn, {});
       eqcb_.assign(nn, {});
       eqpb_.assign(static_cast<std::size_t>(cc_.base.n), nullptr);
-      bsender_kind_.assign(nn, -1);
-      for (std::size_t k = 0; k < faulty_ids_.size(); ++k) {
-        bsender_kind_[static_cast<std::size_t>(faulty_ids_[k])] = static_cast<int>(k);
-      }
       for (std::size_t l = 0; l < W_; ++l) {
         for (std::size_t i = 0; i < nn; ++i) {
-          set_planes(pb_[i], l, static_cast<std::uint8_t>(base_[l * nn + i]));
+          set_lane<1>(pb_[i], l, static_cast<std::uint8_t>(base_[l * nn + i]));
         }
       }
     }
   }
 
-  void run() {
-    const bool recording = cfg_.record_outputs || cfg_.record_states;
-    for (std::uint64_t round = 0; round < cfg_.max_rounds && active_ != 0; ++round) {
-      const bool will_forge = !faultless_ && !(static_forge_ && static_forged_);
+  void run(std::vector<RunResult>& results) {
+    for (std::uint64_t round = 0; round < lanes_.max_rounds() && lanes_.any(); ++round) {
       if (interleaved_) {
-        round_interleaved(round, recording);
-      } else {
-        round_profiled(round, recording, will_forge);
+        round_interleaved(round);
+        continue;
       }
-      if (will_forge && static_forge_) static_forged_ = true;
+      const bool forging = lanes_.forging();
+      round_profiled(round, forging);
+      if (forging) lanes_.forged_round();
     }
-
-    for (std::size_t l = 0; l < W_; ++l) {
-      RunResult& r = lanes_[l].result;
-      const StabilisationChecker& ck = checkers_[l];
-      r.rounds = ck.rounds();
-      r.stabilisation_round = ck.suffix_start();
-      r.suffix_length = ck.suffix_length();
-      r.max_window = ck.max_window();
-      r.stabilised = r.suffix_length >= std::min<std::uint64_t>(margin_, r.rounds);
-      if (lanes_[l].pull_samples > 0) {
-        r.avg_pulls_per_round = static_cast<double>(lanes_[l].total_pulls) /
-                                static_cast<double>(lanes_[l].pull_samples);
-      }
-    }
+    lanes_.finish(results);
   }
 
-  std::vector<RunResult> take_results() {
-    std::vector<RunResult> out;
-    out.reserve(W_);
-    for (auto& ln : lanes_) out.push_back(std::move(ln.result));
-    return out;
+  // Kernel members the lane driver calls.
+  void refresh_states(std::size_t lane) {
+    std::vector<State>& states = lanes_.states(lane);
+    for (const NodeId i : correct_) states[static_cast<std::size_t>(i)] = encode(lane, i);
   }
+
+  std::vector<std::uint64_t> lane_outputs(std::size_t /*lane*/) const { return outs_; }
 
  private:
-  struct LaneCold {
-    RunResult result;
-    // Materialised BitVec states for adversary queries and recording; faulty
-    // entries are fixed for the whole run, correct entries are refreshed
-    // from the field representation on demand.
-    std::vector<State> states;
-    std::uint64_t total_pulls = 0;
-    std::uint64_t pull_samples = 0;
-  };
-
   // --- Round summary: outputs + agreement (from the master fields) ----------
-  // Returns false if the lane early-exited (stop_after_stable reached).
-  bool observe_lane(std::size_t l, bool recording) {
+  // Returns whether the lane plays the round (Lanes::observe).
+  bool observe_lane(std::size_t l, std::uint64_t round) {
     const std::vector<std::uint64_t>& top_a = a_[L_ - 1];
     const std::size_t lane_off = l * static_cast<std::size_t>(N_);
     bool agreed = true;
@@ -445,60 +385,43 @@ class ComposedBlock {
         agreed = false;
       }
     }
-    checkers_[l].observe_summary(agreed, first);
-    if (recording) record_lane(l);
-    if (cfg_.stop_after_stable > 0 && checkers_[l].suffix_length() >= cfg_.stop_after_stable) {
-      active_ &= ~(1ULL << l);
-      return false;
-    }
-    return true;
+    return lanes_.observe(*this, l, round, agreed, first);
   }
 
   // --- Profiled rounds ------------------------------------------------------
 
-  void round_profiled(std::uint64_t round, bool recording, bool will_forge) {
-    // Pass 1: per-lane summary + adversary work. Lane-internal call order
-    // matches the scalar runner exactly (forge_block runs begin_round before
-    // its message queries).
-    bool profiles_set = false;
-    [[maybe_unused]] std::size_t first_lane = 0;
-    for (std::uint64_t msk = active_; msk; msk &= msk - 1) {
-      const auto l = static_cast<std::size_t>(std::countr_zero(msk));
-      if (!observe_lane(l, recording)) continue;
-      if (will_forge) {
-        if (!state_oblivious_) refresh_states(l);
-        ForgedRound& fr = frs_[l];
-        advs_[l]->forge_block(round, lanes_[l].states, algo_, faulty_ids_, correct_, rngs_[l],
-                              fr);
-        if (!profiles_set) {
-          set_profiles(fr);
-          profiles_set = true;
-          first_lane = l;
-        } else {
-          // The profile geometry must be a pure function of (round, faults,
-          // n) -- lane-invariant by the forge_block contract.
-          SC_ASSERT(fr.num_profiles == nprof_);
-          SC_ASSERT(fr.profile_of == frs_[first_lane].profile_of);
-        }
-        decompose_lane_profiles(l);
-      } else if (!passive_rounds_) {
-        if (!state_oblivious_) refresh_states(l);
-        advs_[l]->begin_round(round, lanes_[l].states, algo_, faulty_ids_, rngs_[l]);
-      }
-    }
-    if (active_ == 0) return;
+  // Pass 1: per-lane summary + adversary work. Lane-internal call order
+  // matches the scalar runner exactly (forge_block runs begin_round before
+  // its message queries). Kept out of line on purpose: inlined into
+  // round_profiled, it changes how GCC lays out the whole round, which
+  // measured slower on practical(7, 10).
+  [[gnu::noinline]] void adversary_pass(std::uint64_t round, bool forging) {
+    const ForgedRound* first = nullptr;
+    lanes_.for_each_active([&](std::size_t l) {
+      if (!observe_lane(l, round) || !forging) return;
+      lanes_.forge_lane(*this, l, round, /*try_idx=*/false, first);
+      if (first == &lanes_.forged(l)) set_profiles(*first);
+      decompose_lane_profiles(l);
+    });
+  }
+
+  void round_profiled(std::uint64_t round, bool forging) {
+    adversary_pass(round, forging);
+    if (!lanes_.any()) return;
 
     // Cross-lane base transition: one DFS over the compiled base table per
     // correct node advances every lane's base field at once.
     if (bs_base_) base_transition_bit_sliced();
 
-    // Pass 2: received views, votes, phase-king glue, commit.
-    for (std::uint64_t msk = active_; msk; msk &= msk - 1) {
+    // Pass 2: received views, votes, phase-king glue, commit. A plain loop
+    // rather than Lanes::for_each_active: behind that lambda GCC keeps
+    // transition_node out of line, and tower_sweep measured slower.
+    for (std::uint64_t msk = lanes_.active()[0]; msk != 0; msk &= msk - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(msk));
       load_received(l);
       tally_correct_senders();
       std::fill(vote_valid_.begin(), vote_valid_.end(), 0);
-      if (faultless_) {
+      if (lanes_.faultless()) {
         for (const NodeId v : correct_) transition_node(l, v, 0, /*cached=*/true);
       } else {
         int cur = -1;
@@ -519,14 +442,13 @@ class ComposedBlock {
   // --- Interleaved rounds (receiver-dependent drawing adversary over a
   // fresh-sampling pulling tower) ---------------------------------------------
 
-  void round_interleaved(std::uint64_t round, bool recording) {
-    for (std::uint64_t msk = active_; msk; msk &= msk - 1) {
-      const auto l = static_cast<std::size_t>(std::countr_zero(msk));
-      if (!observe_lane(l, recording)) continue;
-      if (!state_oblivious_) refresh_states(l);
-      if (!passive_rounds_) {
-        advs_[l]->begin_round(round, lanes_[l].states, algo_, faulty_ids_, rngs_[l]);
-      }
+  void round_interleaved(std::uint64_t round) {
+    lanes_.for_each_active([&](std::size_t l) {
+      if (!observe_lane(l, round)) return;
+      // message() reads the states too, so they are refreshed even when the
+      // adversary's begin_round is a no-op.
+      lanes_.refresh(*this, l);
+      lanes_.begin_round(l, round);
       load_received(l);
       tally_correct_senders();
       for (const NodeId v : correct_) {
@@ -537,7 +459,7 @@ class ComposedBlock {
         transition_node(l, v, 0, /*cached=*/false);
       }
       commit(l);
-    }
+    });
   }
 
   // --- Field <-> BitVec -----------------------------------------------------
@@ -567,22 +489,6 @@ class ComposedBlock {
     return s;
   }
 
-  void refresh_states(std::size_t lane) {
-    LaneCold& ln = lanes_[lane];
-    for (const NodeId i : correct_) ln.states[static_cast<std::size_t>(i)] = encode(lane, i);
-  }
-
-  void record_lane(std::size_t lane) {
-    LaneCold& ln = lanes_[lane];
-    if (cfg_.record_outputs) {
-      ln.result.outputs.emplace_back(outs_.begin(), outs_.end());
-    }
-    if (cfg_.record_states) {
-      refresh_states(lane);
-      ln.result.states.push_back(ln.states);
-    }
-  }
-
   // --- Forged profiles ------------------------------------------------------
 
   // Grows the per-(profile, faulty sender) storage to `nprof` profiles. The
@@ -603,17 +509,14 @@ class ComposedBlock {
     }
   }
 
-  // Establishes this round's profile geometry from the first forging lane:
-  // the profile count, the receiver-to-profile map, and (when reordering is
-  // draw-safe) the profile-grouped receiver order.
+  // Establishes this round's profile geometry from the first forging lane's
+  // checked forged round: the profile count, the receiver-to-profile map,
+  // and (when reordering is draw-safe) the profile-grouped receiver order.
   void set_profiles(const ForgedRound& fr) {
-    SC_REQUIRE(fr.num_profiles >= 1, "forge_block produced no profiles");
     if (fr.num_profiles != nprof_) resize_profiles(fr.num_profiles);
     if (fr.profile_of.empty()) {
       std::fill(prof_node_.begin(), prof_node_.end(), std::uint16_t{0});
     } else {
-      SC_REQUIRE(fr.profile_of.size() == prof_node_.size(),
-                 "forge_block profile map has wrong size");
       std::copy(fr.profile_of.begin(), fr.profile_of.end(), prof_node_.begin());
     }
     if (reorder_ok_ && nprof_ > 1) {
@@ -622,9 +525,7 @@ class ComposedBlock {
       // profile without changing any per-node result.
       count_scratch_.assign(static_cast<std::size_t>(nprof_) + 1, 0);
       for (const NodeId v : correct_) {
-        const std::uint16_t p = prof_node_[static_cast<std::size_t>(v)];
-        SC_ASSERT(p < nprof_);
-        ++count_scratch_[static_cast<std::size_t>(p) + 1];
+        ++count_scratch_[static_cast<std::size_t>(prof_node_[static_cast<std::size_t>(v)]) + 1];
       }
       for (std::size_t p = 1; p < count_scratch_.size(); ++p) {
         count_scratch_[p] += count_scratch_[p - 1];
@@ -641,13 +542,12 @@ class ComposedBlock {
   // on the bit-sliced base path, scatters the base indices into the forged
   // bitplanes. Persists across rounds, so static forgers pay this once.
   void decompose_lane_profiles(std::size_t lane) {
-    const ForgedRound& fr = frs_[lane];
-    SC_ASSERT(fr.states.size() == S_);
+    const ForgedRound& fr = lanes_.forged(lane);
     for (std::size_t s = 0; s < S_; ++s) {
       const std::size_t idx = lane * S_ + s;
       decompose(fr.states[s], idx, pf_base_, pf_a_, pf_d_);
       if (bs_base_) {
-        set_planes(fpb_[s], lane, static_cast<std::uint8_t>(pf_base_[idx]));
+        set_lane<1>(fpb_[s], lane, static_cast<std::uint8_t>(pf_base_[idx]));
       }
     }
   }
@@ -673,8 +573,8 @@ class ComposedBlock {
                   std::size_t idx, std::vector<std::uint64_t>& base,
                   std::vector<std::vector<std::uint64_t>>& a,
                   std::vector<std::vector<std::uint8_t>>& d) {
-    const State raw = advs_[lane]->message(round, sender, receiver, lanes_[lane].states,
-                                           algo_, rngs_[lane]);
+    const State raw = lanes_.adversary(lane).message(round, sender, receiver, lanes_.states(lane),
+                                                     algo_, lanes_.rng(lane));
     decompose(raw, idx, base, a, d);
   }
 
@@ -688,7 +588,7 @@ class ComposedBlock {
   void load_received(std::size_t lane) {
     const auto nn = static_cast<std::size_t>(N_);
     const std::size_t off = lane * nn;
-    if (faultless_) {
+    if (lanes_.faultless()) {
       rp_base_ = base_.data() + off;
       for (std::size_t lvl = 0; lvl < L_; ++lvl) {
         rp_a_[lvl] = a_[lvl].data() + off;
@@ -710,71 +610,39 @@ class ComposedBlock {
 
   // --- Bit-sliced base ------------------------------------------------------
 
-  // Scatter a 2-bit state index into the lane's slot of a bitplane pair.
-  static void set_planes(std::array<std::uint64_t, 2>& p, std::size_t lane,
-                         std::uint8_t v) noexcept {
-    p[0] = (p[0] & ~(1ULL << lane)) | (static_cast<std::uint64_t>(v & 1) << lane);
-    p[1] = (p[1] & ~(1ULL << lane)) | (static_cast<std::uint64_t>((v >> 1) & 1) << lane);
-  }
-
-  // eq[c] = mask of lanes whose 2-bit plane value equals c.
-  static std::array<std::uint64_t, 4> eq_masks(const std::array<std::uint64_t, 2>& p) noexcept {
-    return {~p[0] & ~p[1], p[0] & ~p[1], ~p[0] & p[1], p[0] & p[1]};
-  }
-
   // Advances every active lane's base field in one cross-lane pass: equality
   // bitplanes per sender (master planes for correct senders, forged planes
-  // per (profile, sender) otherwise), then per correct node a depth-first
-  // enumeration of the live part of its base copy's index space -- a branch
-  // dies as soon as no active lane matches its value prefix, so after
-  // stabilisation a pass costs O(base.n) words per node.
+  // per (profile, sender) otherwise), then one table_step per correct node
+  // over its base copy.
   void base_transition_bit_sliced() {
-    const counting::CompiledTable& t = *cc_.base.table;
     const int n0 = cc_.base.n;
-    const std::uint64_t ns = cc_.base.num_states;
     const std::size_t nf = faulty_ids_.size();
     for (std::size_t u = 0; u < static_cast<std::size_t>(N_); ++u) {
-      eqcb_[u] = eq_masks(pb_[u]);
+      eqcb_[u] = eq_planes<1>(pb_[u]);
     }
-    for (std::size_t s = 0; s < S_; ++s) eqfb_[s] = eq_masks(fpb_[s]);
+    for (std::size_t s = 0; s < S_; ++s) eqfb_[s] = eq_planes<1>(fpb_[s]);
     for (const NodeId v : correct_) {
-      const int v_local = v % n0;
       const int first = (v / n0) * n0;
-      const std::uint64_t* st = t.stride.data() + static_cast<std::size_t>(v_local) * n0;
       const std::size_t pbase =
           (nprof_ == 1 ? 0 : static_cast<std::size_t>(prof_node_[static_cast<std::size_t>(v)])) *
           nf;
       for (int s = 0; s < n0; ++s) {
-        const int k = bsender_kind_[static_cast<std::size_t>(first + s)];
+        const int k = faulty_index_[static_cast<std::size_t>(first + s)];
         eqpb_[static_cast<std::size_t>(s)] =
             k < 0 ? &eqcb_[static_cast<std::size_t>(first + s)]
                   : &eqfb_[pbase + static_cast<std::size_t>(k)];
       }
-      std::uint64_t np0 = 0;
-      std::uint64_t np1 = 0;
-      const auto dfs = [&](auto&& self, int s, std::uint64_t mask, std::uint64_t off) -> void {
-        if (s == n0) {
-          const std::uint8_t nx = t.g[off];
-          if (nx & 1) np0 |= mask;
-          if (nx & 2) np1 |= mask;
-          return;
-        }
-        const auto& e = *eqpb_[static_cast<std::size_t>(s)];
-        for (std::uint64_t c = 0; c < ns; ++c) {
-          const std::uint64_t sub = mask & e[c];
-          if (sub != 0) self(self, s + 1, sub, off + st[s] * c);
-        }
-      };
-      dfs(dfs, 0, active_, t.node_base[static_cast<std::size_t>(v_local)]);
-      npb_[static_cast<std::size_t>(v)] = {np0, np1};
+      npb_[static_cast<std::size_t>(v)] =
+          table_step<1>(*cc_.base.table, v % n0, eqpb_.data(), lanes_.active());
     }
   }
 
   void commit_planes() {
+    const std::uint64_t live = lanes_.active()[0];
     for (const NodeId v : correct_) {
       const auto vv = static_cast<std::size_t>(v);
-      pb_[vv][0] = (pb_[vv][0] & ~active_) | (npb_[vv][0] & active_);
-      pb_[vv][1] = (pb_[vv][1] & ~active_) | (npb_[vv][1] & active_);
+      pb_[vv][0][0] = (pb_[vv][0][0] & ~live) | (npb_[vv][0][0] & live);
+      pb_[vv][1][0] = (pb_[vv][1][0] & ~live) | (npb_[vv][1][0] & live);
     }
   }
 
@@ -889,7 +757,7 @@ class ComposedBlock {
     const auto m = static_cast<std::uint64_t>(lv.m);
 
     util::Rng fixed_rng(util::hash_combine(lv.sampling_seed, static_cast<std::uint64_t>(v_local)));
-    util::Rng& rng = lv.fixed_sampling ? fixed_rng : rngs_[lane];
+    util::Rng& rng = lv.fixed_sampling ? fixed_rng : lanes_.rng(lane);
 
     pulled += static_cast<std::uint64_t>(lv.n_inner);  // the own-block pull (step 1)
 
@@ -950,7 +818,7 @@ class ComposedBlock {
     // next base index; extract this lane's bit pair.
     const auto vv = static_cast<std::size_t>(v);
     if (bs_base_) {
-      nb_base_[vv] = ((npb_[vv][0] >> lane) & 1) | (((npb_[vv][1] >> lane) & 1) << 1);
+      nb_base_[vv] = ((npb_[vv][0][0] >> lane) & 1) | (((npb_[vv][1][0] >> lane) & 1) << 1);
     } else if (cc_.base.kind == ComposedBase::Kind::kTrivial) {
       nb_base_[vv] = (rp_base_[vv] + 1) % cc_.base.num_states;
     } else {
@@ -973,10 +841,7 @@ class ComposedBlock {
         pulling_step(lane, lvl, v, pulled);
       }
     }
-    LaneCold& ln = lanes_[lane];
-    ln.total_pulls += pulled;
-    ++ln.pull_samples;
-    ln.result.max_pulls_per_round = std::max(ln.result.max_pulls_per_round, pulled);
+    lanes_.count_pulls(lane, pulled);
   }
 
   void commit(std::size_t lane) {
@@ -991,31 +856,18 @@ class ComposedBlock {
     }
   }
 
-  const BatchConfig& cfg_;
+  Lanes<1> lanes_;
   const ComposedCompiledTable& cc_;
   const counting::CountingAlgorithm& algo_;
   const int N_;
   const std::size_t L_;  // number of boosting levels
   const std::size_t W_;
-
-  std::vector<NodeId> correct_;
-  std::vector<NodeId> faulty_ids_;
-  bool faultless_ = true;
-  bool state_oblivious_ = false;
-  bool passive_rounds_ = false;
+  const std::vector<NodeId>& correct_;
+  const std::vector<NodeId>& faulty_ids_;
+  const std::vector<int>& faulty_index_;  // [node] -> -1 correct, else index into faulty_ids_
   bool interleaved_ = false;
   bool reorder_ok_ = false;
   bool bs_base_ = false;
-  bool static_forge_ = false;
-  bool static_forged_ = false;
-  std::uint64_t margin_ = 0;
-  std::uint64_t active_ = 0;  // bitmask of lanes still running
-
-  // Hot per-lane state, parallel arrays indexed by lane.
-  std::vector<util::Rng> rngs_;
-  std::vector<std::unique_ptr<Adversary>> advs_;
-  std::vector<StabilisationChecker> checkers_;
-  std::vector<LaneCold> lanes_;
 
   // Master field representation, [lane * N + node].
   std::vector<std::uint64_t> base_;
@@ -1037,13 +889,12 @@ class ComposedBlock {
   std::vector<std::vector<std::uint64_t>> nb_a_;
   std::vector<std::vector<std::uint8_t>> nb_d_;
 
-  // Forged profiles (profiled mode). frs_ is each lane's ForgedRound storage
-  // (reused across rounds); pf_* are the decomposed per-lane profile fields,
-  // [lane * S_ + profile * |faulty| + k]; prof_node_ maps receivers to
-  // profiles and order_ is the (possibly profile-grouped) receiver order.
+  // Forged profiles (profiled mode). pf_* are the decomposed per-lane
+  // profile fields, [lane * S_ + profile * |faulty| + k]; prof_node_ maps
+  // receivers to profiles and order_ is the (possibly profile-grouped)
+  // receiver order.
   int nprof_ = 1;
   std::size_t S_ = 0;  // profile slot stride: nprof_ * |faulty|
-  std::vector<ForgedRound> frs_;
   std::vector<std::uint64_t> pf_base_;
   std::vector<std::vector<std::uint64_t>> pf_a_;
   std::vector<std::vector<std::uint8_t>> pf_d_;
@@ -1072,10 +923,9 @@ class ComposedBlock {
   // {bit0, bit1} lane bitplanes (committed in lockstep with the master),
   // npb_ the next-round planes, fpb_ the forged planes per profile slot, and
   // eqcb_/eqfb_/eqpb_ the per-round equality planes and per-sender view.
-  std::vector<std::array<std::uint64_t, 2>> pb_, npb_, fpb_;
-  std::vector<std::array<std::uint64_t, 4>> eqcb_, eqfb_;
-  std::vector<const std::array<std::uint64_t, 4>*> eqpb_;
-  std::vector<int> bsender_kind_;  // [node] -> -1 correct, else faulty index k
+  std::vector<Planes<1>> pb_, npb_, fpb_;
+  std::vector<EqPlanes<1>> eqcb_, eqfb_;
+  std::vector<const EqPlanes<1>*> eqpb_;
 
   // Vote / sampling scratch.
   std::vector<std::uint64_t> leader_, mvals_, sampled_a_, outs_;
@@ -1086,22 +936,15 @@ class ComposedBlock {
 
 }  // namespace
 
-std::vector<RunResult> run_composed_batch(const BatchConfig& cfg,
-                                          const ComposedCompiledTable& cc) {
+std::vector<RunResult> run_composed_batch(const BatchConfig& cfg, const ComposedCompiledTable& cc,
+                                          const Placement& placement) {
   SC_CHECK(cfg.kernel == BatchKernel::kAuto,
            "composed (boosted/pulling) algorithms run a single fixed kernel; "
            "BatchConfig::kernel must be kAuto");
-  std::vector<RunResult> results;
-  results.reserve(cfg.seeds.size());
-  for (std::size_t start = 0; start < cfg.seeds.size(); start += kLanesPerWord) {
-    const std::size_t count = std::min(kLanesPerWord, cfg.seeds.size() - start);
-    ComposedBlock block(cfg, cc,
-                        std::span<const std::uint64_t>(cfg.seeds).subspan(start, count));
-    block.run();
-    auto part = block.take_results();
-    for (auto& r : part) results.push_back(std::move(r));
-  }
-  return results;
+  return run_blocks(cfg.seeds, kLanesPerWord,
+                    [&](std::span<const std::uint64_t> seeds, std::vector<RunResult>& results) {
+                      ComposedBlock(cfg, cc, placement, seeds).run(results);
+                    });
 }
 
 std::unique_ptr<TowerOracle> TowerOracle::make(const counting::CountingAlgorithm& algo) {

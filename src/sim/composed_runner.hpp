@@ -21,9 +21,9 @@
 //    level copy (receiver-oblivious adversaries) or once per (profile,
 //    copy), and the shared phaseking::step / step_sampled glue runs per
 //    node -- zero per-round heap allocation. When the base is a
-//    num_states <= 4 table, its kernel additionally runs on the flat
-//    path's bit-sliced planes: one cross-lane DFS over the compiled base
-//    table advances every lane's base field at once.
+//    num_states <= 4 table, its kernel additionally runs on bit-sliced
+//    planes: one cross-lane DFS over the compiled base table advances every
+//    lane's base field at once.
 //
 //  * Interleaved (fresh-sampling pulling towers under adversaries whose
 //    message() draws randomness): forging stays interleaved with the
@@ -37,11 +37,13 @@
 // them, reads the strict majorities off the counts and removes them again:
 // O(faulty senders in the copy + k*m + tau) instead of decoding the copy.
 //
-// Per-lane Rng and Adversary instances are invoked in exactly the scalar
-// runner's call order in both modes, so every lane's RunResult is
-// bit-identical to run_execution on the same seed. The composed path has a
-// single kernel: BatchConfig::kernel must be kAuto (kSoA / kBitSliced
-// throw std::invalid_argument).
+// The lanes run on the shared lane driver (sim/lanes.hpp), which invokes
+// each lane's Rng and Adversary in exactly the scalar runner's call order in
+// both modes, so every lane's RunResult is bit-identical to run_execution on
+// the same seed. A table base with num_states <= 4 runs the table backend's
+// bit-sliced step (table_step). The composed path has a single kernel:
+// BatchConfig::kernel must be kAuto (kSoA / kBitSliced throw
+// std::invalid_argument).
 #pragma once
 
 #include <cstdint>
@@ -165,8 +167,9 @@ class TowerOracle {
 // Runs seeds.size() executions of the composed algorithm (internally in
 // blocks of up to 64 lanes) and returns their RunResults in seed order;
 // result[i] is bit-identical to run_execution with seed cfg.seeds[i] and the
-// same margin. Called through run_batch, which owns the backend dispatch.
-std::vector<RunResult> run_composed_batch(const BatchConfig& cfg,
-                                          const ComposedCompiledTable& cc);
+// same margin. Called through run_batch, which owns the backend dispatch and
+// validates cfg.faulty into `placement`.
+std::vector<RunResult> run_composed_batch(const BatchConfig& cfg, const ComposedCompiledTable& cc,
+                                          const Placement& placement);
 
 }  // namespace synccount::sim

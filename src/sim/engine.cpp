@@ -1,6 +1,5 @@
 #include "sim/engine.hpp"
 
-#include <atomic>
 #include <chrono>
 #include <memory>
 #include <mutex>
@@ -211,21 +210,20 @@ ExperimentResult Engine::run(const ExperimentSpec& spec, const ShardPlan& shard,
 
   const std::size_t n_groups = shard.groups();
 
-  // Always-on per-group profiling counters (sim/profile.hpp): backend tag +
-  // node-rounds packed in one atomic word, task nanos in a second. Tasks of
-  // the same group may run on different threads, hence atomics; readers wait
-  // for the pool to join. Value-initialised to zero (= GroupProfile::kIdle).
-  const auto prof_packed = std::make_unique<std::atomic<std::uint64_t>[]>(n_groups);
-  const auto prof_nanos = std::make_unique<std::atomic<std::uint64_t>[]>(n_groups);
-  const auto record_profile = [&](std::size_t local_group, std::uint64_t tag,
-                                  std::uint64_t work,
+  // Always-on per-group profiling (sim/profile.hpp). The planning loop
+  // below sets each group's backend; every task writes its node-rounds and
+  // wall time into its own slot, summed per group after the pool joins.
+  struct TaskProfile {
+    std::size_t group = 0;
+    std::uint64_t node_rounds = 0;
+    std::uint64_t nanos = 0;
+  };
+  std::vector<TaskProfile> task_profiles;
+  const auto record_profile = [&](std::size_t task, std::uint64_t work,
                                   ProfileClock::time_point t0) {
-    profile_record(prof_packed[local_group], tag, work);
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        profile_now() - t0)
-                        .count();
-    prof_nanos[local_group].fetch_add(static_cast<std::uint64_t>(ns),
-                                      std::memory_order_relaxed);
+    task_profiles[task].node_rounds = work;
+    task_profiles[task].nanos = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(profile_now() - t0).count());
   };
   // Work unit both backends share: executed rounds x correct nodes.
   const auto node_rounds_of = [](const RunResult& r) {
@@ -309,6 +307,7 @@ ExperimentResult Engine::run(const ExperimentSpec& spec, const ShardPlan& shard,
       is_table ? 64 * static_cast<std::size_t>(default_batch_words()) : 64;
   std::vector<std::function<void()>> tasks;
   tasks.reserve(n_cells);
+  out.profiles.resize(n_groups);
   for (std::size_t g = shard.group_begin; g < shard.group_end; ++g) {
     const std::size_t a = g / n_pl;
     const std::size_t p = g % n_pl;
@@ -316,9 +315,12 @@ ExperimentResult Engine::run(const ExperimentSpec& spec, const ShardPlan& shard,
     const std::size_t local_group = g - shard.group_begin;
     if (algo_batchable && adv_batchable[a]) {
       out.batched_cells += n_seeds;
+      out.profiles[local_group].backend = is_table ? GroupProfile::kBatched
+                                                   : GroupProfile::kComposed;
       for (std::size_t s0 = 0; s0 < n_seeds; s0 += chunk) {
         const std::size_t count = std::min(chunk, n_seeds - s0);
-        tasks.push_back([&, a, group, s0, count, p, local_group] {
+        task_profiles.push_back({local_group});
+        tasks.push_back([&, a, group, s0, count, p, local_group, task = tasks.size()] {
           const auto t0 = profile_now();
           BatchConfig bc;
           bc.algo = shared_algo;
@@ -340,19 +342,18 @@ ExperimentResult Engine::run(const ExperimentSpec& spec, const ShardPlan& shard,
             work += node_rounds_of(results[k]);
             fill_cell_coords(group + s0 + k).result = std::move(results[k]);
           }
-          record_profile(local_group,
-                         is_table ? GroupProfile::kBatched : GroupProfile::kComposed,
-                         work, t0);
+          record_profile(task, work, t0);
           group_finished(local_group, count);
         });
       }
     } else {
+      out.profiles[local_group].backend = GroupProfile::kScalar;
       for (std::size_t s = 0; s < n_seeds; ++s) {
-        tasks.push_back([&, local_group, idx = group + s] {
+        task_profiles.push_back({local_group});
+        tasks.push_back([&, local_group, idx = group + s, task = tasks.size()] {
           const auto t0 = profile_now();
           run_cell(idx);
-          record_profile(local_group, GroupProfile::kScalar,
-                         node_rounds_of(out.cells[idx - cell_offset].result), t0);
+          record_profile(task, node_rounds_of(out.cells[idx - cell_offset].result), t0);
           group_finished(local_group, 1);
         });
       }
@@ -381,10 +382,9 @@ ExperimentResult Engine::run(const ExperimentSpec& spec, const ShardPlan& shard,
   out.wall_seconds =
       std::chrono::duration<double>(profile_now() - t0).count();
 
-  out.profiles.resize(n_groups);
-  for (std::size_t lg = 0; lg < n_groups; ++lg) {
-    out.profiles[lg].packed = prof_packed[lg].load(std::memory_order_relaxed);
-    out.profiles[lg].nanos = prof_nanos[lg].load(std::memory_order_relaxed);
+  for (const TaskProfile& tp : task_profiles) {
+    out.profiles[tp.group].node_rounds += tp.node_rounds;
+    out.profiles[tp.group].nanos += tp.nanos;
   }
 
   // The total is the group-order merge of the delivered group aggregates,

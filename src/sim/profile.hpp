@@ -7,15 +7,12 @@
 // bit-parallel and composed paths per group, it has to see what each group
 // actually costs on the path the static eligibility rules pick today.
 //
-// The counter itself uses the inline shifted-counter idiom: one 64-bit word
-// packs a 2-bit backend tag in the top bits, a saturation guard bit below
-// them, and a 61-bit work count in the low bits -- so the hot path is a
-// single fetch-free-when-uncontended atomic RMW per task, cheap enough to
-// stay on in every run. 2^61 node-rounds is ~decades of simulation, so the
-// guard bit is a correctness backstop, not an expected state.
+// The engine fixes a group's backend when it plans the group's tasks. Each
+// task writes its node-rounds and wall time into a slot of its own, and the
+// slots are summed per group after the pool joins, so the hot path takes no
+// atomic and no lock.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -33,31 +30,23 @@ inline ProfileClock::time_point profile_now() noexcept {
 }
 
 struct GroupProfile {
-  // Backend tag values (bits [63:62] of `packed`).
-  static constexpr std::uint64_t kIdle = 0;      // group ran no cells
-  static constexpr std::uint64_t kScalar = 1;    // per-cell scalar runner
-  static constexpr std::uint64_t kBatched = 2;   // bit-parallel table backend
-  static constexpr std::uint64_t kComposed = 3;  // composed-tower backend
+  // Backend values.
+  static constexpr int kIdle = 0;      // group ran no cells
+  static constexpr int kScalar = 1;    // per-cell scalar runner
+  static constexpr int kBatched = 2;   // bit-parallel table backend
+  static constexpr int kComposed = 3;  // composed-tower backend
 
-  static constexpr int kTagShift = 62;
-  static constexpr std::uint64_t kOverflowBit = std::uint64_t{1} << 61;
-  static constexpr std::uint64_t kCountMask = kOverflowBit - 1;  // bits [60:0]
-
-  // tag | overflow | node-rounds, as laid out above. Work is counted in
-  // node-rounds (executed rounds x correct nodes, summed over the group's
-  // cells): the unit both backends share, so per-group costs compare across
-  // backend choices.
-  std::uint64_t packed = 0;
+  int backend = kIdle;
+  // Work in node-rounds (executed rounds x correct nodes, summed over the
+  // group's cells): the unit all backends share, so per-group costs compare
+  // across backend choices.
+  std::uint64_t node_rounds = 0;
   // Sum of task wall-times attributed to this group, in nanoseconds. Tasks
   // run concurrently, so this is aggregate compute time, not elapsed time.
   std::uint64_t nanos = 0;
 
-  std::uint64_t backend() const noexcept { return packed >> kTagShift; }
-  std::uint64_t node_rounds() const noexcept { return packed & kCountMask; }
-  bool saturated() const noexcept { return (packed & kOverflowBit) != 0; }
-
   std::string backend_name() const {
-    switch (backend()) {
+    switch (backend) {
       case kScalar: return "scalar";
       case kBatched: return "batched";
       case kComposed: return "composed";
@@ -65,29 +54,5 @@ struct GroupProfile {
     }
   }
 };
-
-// Merges `work` node-rounds executed on backend `tag` into a live packed
-// counter. Saturates at kCountMask and latches the overflow bit instead of
-// carrying into the tag field; relaxed ordering is enough because readers
-// only look after the pool joins.
-inline void profile_record(std::atomic<std::uint64_t>& packed, std::uint64_t tag,
-                           std::uint64_t work) noexcept {
-  std::uint64_t cur = packed.load(std::memory_order_relaxed);
-  std::uint64_t next;
-  do {
-    next = (cur & ~(std::uint64_t{3} << GroupProfile::kTagShift)) |
-           (tag << GroupProfile::kTagShift);
-    if ((next & GroupProfile::kOverflowBit) == 0) {
-      const std::uint64_t count = next & GroupProfile::kCountMask;
-      const std::uint64_t sum = count + work;
-      next &= ~GroupProfile::kCountMask;
-      if (sum < count || sum > GroupProfile::kCountMask) {
-        next |= GroupProfile::kOverflowBit | GroupProfile::kCountMask;
-      } else {
-        next |= sum;
-      }
-    }
-  } while (!packed.compare_exchange_weak(cur, next, std::memory_order_relaxed));
-}
 
 }  // namespace synccount::sim

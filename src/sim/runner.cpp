@@ -2,10 +2,41 @@
 
 #include <algorithm>
 
-#include "sim/faults.hpp"
 #include "util/check.hpp"
 
 namespace synccount::sim {
+
+Placement::Placement(const counting::CountingAlgorithm& algo, const std::vector<bool>& faulty) {
+  const int n = algo.num_nodes();
+  SC_CHECK(faulty.empty() || static_cast<int>(faulty.size()) == n, "fault vector size mismatch");
+  faulty_index.assign(static_cast<std::size_t>(n), -1);
+  for (int i = 0; i < n; ++i) {
+    if (!faulty.empty() && faulty[static_cast<std::size_t>(i)]) {
+      faulty_index[static_cast<std::size_t>(i)] = static_cast<int>(faulty_ids.size());
+      faulty_ids.push_back(i);
+    } else {
+      correct_ids.push_back(i);
+    }
+  }
+  SC_CHECK(static_cast<int>(faulty_ids.size()) <= algo.resilience(),
+           "more faults than the algorithm's resilience");
+  SC_CHECK(!correct_ids.empty(), "all nodes faulty");
+}
+
+std::vector<State> initial_states(const counting::CountingAlgorithm& algo,
+                                  const std::vector<State>& initial, util::Rng& rng) {
+  const auto nn = static_cast<std::size_t>(algo.num_nodes());
+  std::vector<State> states;
+  if (!initial.empty()) {
+    SC_CHECK(initial.size() == nn, "initial state vector size mismatch");
+    states.reserve(nn);
+    for (const auto& s : initial) states.push_back(algo.canonicalize(s));
+  } else {
+    states.resize(nn);
+    for (auto& s : states) s = counting::arbitrary_state(algo, rng);
+  }
+  return states;
+}
 
 std::uint64_t resolve_margin(std::uint64_t margin, std::uint64_t max_rounds,
                              std::uint64_t modulus) noexcept {
@@ -13,37 +44,34 @@ std::uint64_t resolve_margin(std::uint64_t margin, std::uint64_t max_rounds,
   return std::min<std::uint64_t>(2 * modulus + 16, std::max<std::uint64_t>(max_rounds / 4, 1));
 }
 
+void finish_run(RunResult& result, const StabilisationChecker& checker, std::uint64_t margin,
+                std::uint64_t total_pulls, std::uint64_t pull_samples) {
+  result.rounds = checker.rounds();
+  result.stabilisation_round = checker.suffix_start();
+  result.suffix_length = checker.suffix_length();
+  result.max_window = checker.max_window();
+  result.stabilised = result.suffix_length >= std::min<std::uint64_t>(margin, result.rounds);
+  // Mean over all executed (correct node, round) transitions, zero-pull
+  // samples included; identically 0 for pure broadcast algorithms.
+  if (pull_samples > 0) {
+    result.avg_pulls_per_round =
+        static_cast<double>(total_pulls) / static_cast<double>(pull_samples);
+  }
+}
+
 RunResult run_execution(const RunConfig& cfg, Adversary& adversary, std::uint64_t margin) {
   SC_CHECK(cfg.algo != nullptr, "no algorithm given");
   const auto& algo = *cfg.algo;
-  const int n = algo.num_nodes();
-  const auto nn = static_cast<std::size_t>(n);
+  const auto nn = static_cast<std::size_t>(algo.num_nodes());
 
-  std::vector<bool> faulty = cfg.faulty;
-  if (faulty.empty()) faulty.assign(nn, false);
-  SC_CHECK(static_cast<int>(faulty.size()) == n, "fault vector size mismatch");
-  SC_CHECK(fault_count(faulty) <= algo.resilience(),
-           "more faults than the algorithm's resilience");
-
-  const std::vector<counting::NodeId> faulty_ids = fault_ids(faulty);
-  std::vector<counting::NodeId> correct_ids;
-  for (int i = 0; i < n; ++i) {
-    if (!faulty[static_cast<std::size_t>(i)]) correct_ids.push_back(i);
-  }
-  SC_CHECK(!correct_ids.empty(), "all nodes faulty");
+  const Placement placement(algo, cfg.faulty);
+  const std::vector<counting::NodeId>& faulty_ids = placement.faulty_ids;
+  const std::vector<counting::NodeId>& correct_ids = placement.correct_ids;
 
   util::Rng rng(cfg.seed);
 
   // Arbitrary initial states (the self-stabilisation part of the model).
-  std::vector<State> states;
-  if (!cfg.initial.empty()) {
-    SC_CHECK(cfg.initial.size() == nn, "initial state vector size mismatch");
-    states.reserve(nn);
-    for (const auto& s : cfg.initial) states.push_back(algo.canonicalize(s));
-  } else {
-    states.resize(nn);
-    for (auto& s : states) s = counting::arbitrary_state(algo, rng);
-  }
+  std::vector<State> states = initial_states(algo, cfg.initial, rng);
 
   margin = resolve_margin(margin, cfg.max_rounds, algo.modulus());
 
@@ -134,16 +162,7 @@ RunResult run_execution(const RunConfig& cfg, Adversary& adversary, std::uint64_
     result.rounds = round + 1;
   }
 
-  result.rounds = checker.rounds();
-  result.stabilisation_round = checker.suffix_start();
-  result.suffix_length = checker.suffix_length();
-  result.max_window = checker.max_window();
-  result.stabilised = result.suffix_length >= std::min<std::uint64_t>(margin, result.rounds);
-  // Mean over all executed (correct node, round) transitions, zero-pull
-  // samples included; identically 0 for pure broadcast algorithms.
-  if (pull_samples > 0) {
-    result.avg_pulls_per_round = static_cast<double>(total_pulls) / static_cast<double>(pull_samples);
-  }
+  finish_run(result, checker, margin, total_pulls, pull_samples);
   return result;
 }
 

@@ -54,11 +54,38 @@ struct RunResult {
   std::vector<std::vector<State>> states;
 };
 
+// The pieces of one execution that every runner shares (the scalar runner
+// below and the batched backends of sim/batch_runner.hpp), so all of them
+// validate, start and classify a run identically.
+
+// A validated fault placement: the faulty and correct node ids in increasing
+// order, and each node's position in faulty_ids (-1 for a correct node).
+// Throws std::invalid_argument unless `faulty` is empty (no faults) or has
+// one entry per node, marks at most algo.resilience() nodes, and leaves at
+// least one node correct.
+struct Placement {
+  Placement(const counting::CountingAlgorithm& algo, const std::vector<bool>& faulty);
+
+  std::vector<counting::NodeId> faulty_ids;
+  std::vector<counting::NodeId> correct_ids;
+  std::vector<int> faulty_index;
+};
+
+// Round-0 states: `initial` canonicalised when given (size n), else one
+// arbitrary state per node drawn from `rng` in node order.
+std::vector<State> initial_states(const counting::CountingAlgorithm& algo,
+                                  const std::vector<State>& initial, util::Rng& rng);
+
 // The margin actually used when the caller passes 0: min(2c + 16, what fits
-// in the horizon). Shared by the scalar runner and the batched backend so
-// both paths classify "stabilised" identically.
+// in the horizon).
 std::uint64_t resolve_margin(std::uint64_t margin, std::uint64_t max_rounds,
                              std::uint64_t modulus) noexcept;
+
+// Fills the checker-derived fields of a finished run and its mean pulls per
+// (correct node, round) transition. The run counts as stabilised when its
+// valid suffix is at least min(margin, rounds), `margin` already resolved.
+void finish_run(RunResult& result, const StabilisationChecker& checker, std::uint64_t margin,
+                std::uint64_t total_pulls, std::uint64_t pull_samples);
 
 // Runs the execution; `margin` is the minimal suffix length for an execution
 // to count as stabilised (default: see resolve_margin).

@@ -12,6 +12,7 @@
 #include "sim/engine.hpp"
 #include "sim/faults.hpp"
 #include "synthesis/known_tables.hpp"
+#include "towers.hpp"
 
 namespace {
 
@@ -138,8 +139,11 @@ void expect_same_run(const sim::RunResult& a, const sim::RunResult& b,
 TEST(BatchRunner, MatchesScalarAcrossAdversariesPlacementsAndKernels) {
   const std::vector<std::pair<std::string, TablePtr>> tables = {{"3states", table3()},
                                                                {"4states", table4()}};
-  const std::vector<std::string> adversaries = {"silent", "echo",   "random",
-                                                "split",  "mirror", "targeted-vote"};
+  // lookahead is the one built-in strategy that forges per lane through
+  // forge_block every round: no lane-batched entry point, not a static
+  // forger, and it reads states and draws.
+  const std::vector<std::string> adversaries = {"silent", "echo",          "random",   "split",
+                                                "mirror", "targeted-vote", "lookahead"};
   const std::vector<std::uint64_t> seeds = {1, 2, 3, 12345, 0xDEAD};
   for (const auto& [tname, algo] : tables) {
     for (const auto kernel : {sim::BatchKernel::kBitSliced, sim::BatchKernel::kSoA}) {
@@ -284,6 +288,77 @@ TEST(BatchRunner, StateReadingForgersDeclineWithoutStateView) {
       EXPECT_EQ(rngs[l].next_u64(), untouched.next_u64()) << adv_name << "/lane=" << l;
     }
     EXPECT_EQ(out_idx, std::vector<std::uint8_t>(out_idx.size(), 0xAB)) << adv_name;
+  }
+}
+
+// Forges correctly through the default forge_block, then breaks the
+// ForgedRound contract on the receiver-to-profile map.
+class MalformedMapAdversary final : public sim::Adversary {
+ public:
+  enum class Flaw { kOutOfRange, kShort, kRngDependent };
+  explicit MalformedMapAdversary(Flaw flaw) : flaw_(flaw) {}
+
+  sim::State message(std::uint64_t /*round*/, sim::NodeId /*sender*/, sim::NodeId /*receiver*/,
+                     std::span<const sim::State> /*true_states*/,
+                     const sim::CountingAlgorithm& /*algo*/, util::Rng& /*rng*/) override {
+    return {};
+  }
+
+  void forge_block(std::uint64_t round, std::span<const sim::State> true_states,
+                   const sim::CountingAlgorithm& algo, std::span<const sim::NodeId> faulty_ids,
+                   std::span<const sim::NodeId> correct_ids, util::Rng& rng,
+                   sim::ForgedRound& out) override {
+    Adversary::forge_block(round, true_states, algo, faulty_ids, correct_ids, rng, out);
+    switch (flaw_) {
+      case Flaw::kOutOfRange:
+        std::fill(out.profile_of.begin(), out.profile_of.end(),
+                  static_cast<std::uint16_t>(out.num_profiles));
+        break;
+      case Flaw::kShort:
+        out.profile_of.pop_back();
+        break;
+      case Flaw::kRngDependent:
+        for (const sim::NodeId v : correct_ids) {
+          out.profile_of[static_cast<std::size_t>(v)] = static_cast<std::uint16_t>(
+              rng.next_below(static_cast<std::uint64_t>(out.num_profiles)));
+        }
+        break;
+    }
+  }
+
+  std::string name() const override { return "malformed-map"; }
+
+ private:
+  Flaw flaw_;
+};
+
+TEST(BatchRunner, RejectsMalformedForgedProfileMaps) {
+  // The map contract is checked in every build, not only by debug
+  // assertions: on both table kernels and the composed backend, each flaw
+  // must throw rather than read profile storage out of bounds.
+  using Flaw = MalformedMapAdversary::Flaw;
+  struct Case {
+    std::string name;
+    counting::AlgorithmPtr algo;
+    sim::BatchKernel kernel;
+  };
+  const std::vector<Case> cases = {{"table1/bitsliced", table3(), sim::BatchKernel::kBitSliced},
+                                   {"table1/soa", table3(), sim::BatchKernel::kSoA},
+                                   {"practical(2)", test::practical(2), sim::BatchKernel::kAuto}};
+  std::vector<std::uint64_t> seeds(64);
+  for (std::size_t i = 0; i < seeds.size(); ++i) seeds[i] = 0xBAD0 + i;
+  for (const auto& c : cases) {
+    for (const Flaw flaw : {Flaw::kOutOfRange, Flaw::kShort, Flaw::kRngDependent}) {
+      sim::BatchConfig bc;
+      bc.algo = c.algo;
+      bc.faulty = sim::faults_spread(c.algo->num_nodes(), c.algo->resilience());
+      bc.max_rounds = 20;
+      bc.adversary = [flaw] { return std::make_unique<MalformedMapAdversary>(flaw); };
+      bc.seeds = seeds;
+      bc.kernel = c.kernel;
+      EXPECT_THROW(sim::run_batch(bc), std::logic_error)
+          << c.name << "/flaw=" << static_cast<int>(flaw);
+    }
   }
 }
 

@@ -117,7 +117,6 @@ TEST(ComposedCompile, RecognisesSupportedTowers) {
                 std::make_shared<counting::TrivialCounter>(16)),
             nullptr);
   EXPECT_EQ(sim::ComposedCompiledTable::compile(nullptr), nullptr);
-  EXPECT_TRUE(sim::batch_supported(practical(2)));
 
   const auto cc = sim::ComposedCompiledTable::compile(practical(2));
   ASSERT_EQ(cc->levels.size(), 2u);
@@ -129,8 +128,8 @@ TEST(ComposedCompile, RecognisesSupportedTowers) {
 }
 
 TEST(ComposedBatch, MatchesScalarAcrossPlansAdversariesAndPlacements) {
-  const std::vector<std::string> adversaries = {"silent", "echo",   "random",
-                                                "split",  "mirror", "targeted-vote"};
+  const std::vector<std::string> adversaries = {"silent", "echo",          "random",   "split",
+                                                "mirror", "targeted-vote", "lookahead"};
   const std::vector<std::uint64_t> seeds = {1, 2, 3, 0xDEAD};
   // f = 7 is the N = 36 tower with three boosted levels (level 1 runs three
   // copies of 4-node blocks).

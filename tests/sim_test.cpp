@@ -5,11 +5,15 @@
 #include <set>
 
 #include "counting/randomized.hpp"
+#include "counting/table_algorithm.hpp"
 #include "counting/trivial.hpp"
 #include "sim/adversaries.hpp"
+#include "sim/batch_runner.hpp"
 #include "sim/checker.hpp"
 #include "sim/faults.hpp"
 #include "sim/runner.hpp"
+#include "synthesis/known_tables.hpp"
+#include "towers.hpp"
 
 namespace {
 
@@ -171,6 +175,32 @@ TEST(Runner, RejectsTooManyFaults) {
   cfg.max_rounds = 2;
   auto adv = sim::make_adversary("silent");
   EXPECT_THROW(sim::run_execution(cfg, *adv), std::invalid_argument);
+
+  // Both batched backends validate the placement once per run_batch call,
+  // with the scalar runner's checks, so a bad fault vector is rejected even
+  // without seeds.
+  const std::vector<counting::AlgorithmPtr> algos = {
+      std::make_shared<counting::TableAlgorithm>(synthesis::known_table_4_1_3states()),
+      test::practical(2)};
+  for (const auto& algo : algos) {
+    const auto n = static_cast<std::size_t>(algo->num_nodes());
+    const std::vector<std::pair<std::string, std::vector<bool>>> bad = {
+        {"wrong size", std::vector<bool>(n + 1, false)},
+        {"too many faults",
+         sim::faults_prefix(algo->num_nodes(), algo->resilience() + 1)},
+        {"all faulty", std::vector<bool>(n, true)}};
+    for (const auto& [what, faulty] : bad) {
+      for (const bool with_seeds : {true, false}) {
+        sim::BatchConfig bc;
+        bc.algo = algo;
+        bc.faulty = faulty;
+        bc.max_rounds = 2;
+        bc.adversary = [] { return sim::make_adversary("silent"); };
+        if (with_seeds) bc.seeds = {1, 2};
+        EXPECT_THROW(sim::run_batch(bc), std::invalid_argument) << algo->name() << "/" << what;
+      }
+    }
+  }
 }
 
 TEST(Runner, ExplicitInitialStatesRespected) {

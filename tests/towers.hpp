@@ -1,5 +1,6 @@
-// Tower builders shared by the composed-backend suite
-// (boosted_batch_test.cpp) and the lookahead suite (lookahead_test.cpp).
+// Tower builders shared by the test suites that run composed towers
+// (boosted_batch_test.cpp, lookahead_test.cpp, batch_runner_test.cpp and
+// sim_test.cpp).
 #pragma once
 
 #include <cstdint>

@@ -430,7 +430,7 @@ void print_profile_table(const sim::ExperimentSpec& spec,
     const auto& p = executed.profiles[lg];
     const auto& cell = executed.cells[lg * n_seeds];
     t.add_row({adversaries[cell.adversary], placements[cell.placement], p.backend_name(),
-               std::to_string(p.node_rounds()) + (p.saturated() ? "+" : ""),
+               std::to_string(p.node_rounds),
                util::fmt_double(static_cast<double>(p.nanos) / 1e6, 1)});
   }
   std::cout << "\nprofile (this process):\n";
