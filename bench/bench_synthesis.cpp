@@ -12,6 +12,10 @@
 // Every FOUND table is additionally re-validated *empirically*: an engine
 // sweep (seeds x adversaries on the batched table backend) checks that the
 // observed stabilisation never exceeds the verifier-certified worst case.
+// Each row carries its expected verdict (an UNSAT proof, or FOUND with an
+// exact T at most the row's bound); the bench exits 1 when a verdict differs
+// or an engine check fails. Conflict budgets are deterministic, so the
+// verdicts do not depend on host speed (they hold at the default --budget).
 //
 // `bench_synthesis --json [path]` instead runs the parallel-engine perf
 // smoke: the |X| = 3 cyclic minimal-time re-discovery (R = 6, unlimited
@@ -42,6 +46,7 @@ struct Row {
   std::string what;
   synthesis::SynthesisSpec spec;
   synthesis::SynthesisOptions opt;
+  std::uint64_t found_within = 0;  // expected: FOUND with exact T <= this; 0 = UNSAT proof
 };
 
 // Empirical cross-check of a freshly synthesised table: run it through the
@@ -194,6 +199,7 @@ int main(int argc, char** argv) {
     r.what = "n=4 f=1 |X|=3 cyclic";
     r.spec = {4, 1, 3, 2, counting::Symmetry::kCyclic, 1};
     r.opt = {7, 8, budget};
+    r.found_within = 8;
     rows.push_back(r);
   }
   if (deep) {
@@ -204,6 +210,7 @@ int main(int argc, char** argv) {
       r.what = "n=4 f=1 |X|=3 cyclic (minimal T)";
       r.spec = {4, 1, 3, 2, counting::Symmetry::kCyclic, 1};
       r.opt = {6, 6, 500000};
+      r.found_within = 6;
       rows.push_back(r);
     }
     {
@@ -211,6 +218,7 @@ int main(int argc, char** argv) {
       r.what = "n=4 f=1 |X|=4 uniform";
       r.spec = {4, 1, 4, 2, counting::Symmetry::kUniform, 1};
       r.opt = {8, 8, 500000};
+      r.found_within = 8;
       rows.push_back(r);
     }
     {
@@ -223,7 +231,8 @@ int main(int argc, char** argv) {
   }
 
   util::Table table({"instance", "mode", "time sweep", "result", "exact T", "vars",
-                     "clauses", "conflicts", "wall s", "engine check"});
+                     "clauses", "conflicts", "wall s", "engine check", "expected"});
+  std::vector<std::string> mismatches;
   for (auto& row : rows) {
     for (const bool incremental : {false, true}) {
       const auto t0 = Clock::now();
@@ -243,13 +252,22 @@ int main(int argc, char** argv) {
       sweep += ",";
       sweep += std::to_string(row.opt.max_time);
       sweep += "]";
-      table.add_row({row.what, incremental ? "incremental" : "re-encode", sweep,
-                     result, out.found ? std::to_string(out.exact_time) : "-",
+      const std::string mode = incremental ? "incremental" : "re-encode";
+      const std::string check =
+          out.found ? engine_check(harness, "E9-check-" + row.what, out, sim_seeds) : "-";
+      const bool as_expected =
+          row.found_within == 0
+              ? result == "UNSAT (proof)"
+              : out.found && out.exact_time <= row.found_within && check.rfind("ok", 0) == 0;
+      const std::string expected =
+          row.found_within == 0 ? "UNSAT" : "T<=" + std::to_string(row.found_within);
+      if (!as_expected) mismatches.push_back(row.what + " (" + mode + "): " + result);
+      table.add_row({row.what, mode, sweep, result,
+                     out.found ? std::to_string(out.exact_time) : "-",
                      std::to_string(out.last_size.variables),
                      std::to_string(out.last_size.clauses),
-                     std::to_string(out.total_conflicts), util::fmt_double(secs, 2),
-                     out.found ? engine_check(harness, "E9-check-" + row.what, out, sim_seeds)
-                               : "-"});
+                     std::to_string(out.total_conflicts), util::fmt_double(secs, 2), check,
+                     as_expected ? expected : expected + " MISMATCH"});
     }
   }
   table.print(std::cout);
@@ -260,5 +278,6 @@ int main(int argc, char** argv) {
             << "later than the certified worst case. Every UNSAT line is a proof that no\n"
             << "such algorithm exists in that symmetry class and time sweep.\n"
             << "Run with --deep for the |X|=4 uniform (T=8) and n=6 single-bit rows.\n";
-  return 0;
+  for (const std::string& m : mismatches) std::cerr << "MISMATCH " << m << "\n";
+  return mismatches.empty() ? 0 : 1;
 }

@@ -85,9 +85,9 @@ std::uint64_t run_worker(const WorkerConfig& cfg) {
     const Json* kind = grant.spec.find("kind");
     if (kind != nullptr && kind->as_string() == "synth") {
       // Synth job: each leased group is one cube, solved by the canonical
-      // priority scan -- the same deterministic protocol the local engine
-      // uses to re-derive winners, so recorded verdict lines are
-      // byte-identical no matter which worker (or how many) ran them.
+      // priority scan -- the same deterministic unit of work the local
+      // engine runs per cube, so recorded verdict lines are byte-identical
+      // no matter which worker (or how many) ran them.
       const synthesis::SynthJobSpec job = synthesis::SynthJobSpec::from_json(grant.spec);
       for (std::uint64_t g = grant.group_begin; g < grant.group_end; ++g) {
         if (g != grant.group_begin && !faults.should_drop("worker.heartbeat")) {

@@ -6,7 +6,9 @@
 #include <sstream>
 #include <utility>
 
+#include "counting/algorithm_spec.hpp"
 #include "counting/table_io.hpp"
+#include "sim/engine.hpp"
 #include "synthesis/portfolio.hpp"
 #include "util/check.hpp"
 
@@ -233,6 +235,15 @@ JobQueue::SubmitOutcome JobQueue::submit(const std::string& name, const Json& sp
   SC_CHECK(valid_job_name(name),
            "invalid job name \"" + name + "\" (want [A-Za-z0-9._-]{1,64})");
   Job job = make_job(name, spec_json);
+  if (job.kind == Job::Kind::kSweep) {
+    // The margin cliff is refused at submit only: a reloaded queue keeps
+    // serving the jobs it already accepted.
+    const sim::ExperimentSpec parsed = sim::experiment_spec_from_json(job.spec);
+    if (parsed.variants.empty()) sim::check_margin(parsed, *sim::spec_algorithm(parsed));
+    for (const counting::AlgorithmSpec& v : parsed.variants) {
+      sim::check_margin(parsed, *counting::build(v));
+    }
+  }
   const auto it = jobs_.find(name);
   if (it != jobs_.end()) {
     // Idempotent resubmit (a client that never heard the response retries);

@@ -57,6 +57,28 @@ counting::AlgorithmPtr spec_algorithm(const ExperimentSpec& spec) {
   return counting::build(spec.variants.front());
 }
 
+namespace {
+
+// The horizon of one cell (see ExperimentSpec::max_rounds).
+std::uint64_t cell_horizon(const ExperimentSpec& spec, const counting::CountingAlgorithm& algo) {
+  if (spec.max_rounds != 0) return spec.max_rounds;
+  if (const auto bound = algo.stabilisation_bound()) return *bound + spec.extra_rounds;
+  return spec.horizon_override != 0 ? spec.horizon_override : 20000;
+}
+
+}  // namespace
+
+void check_margin(const ExperimentSpec& spec, const counting::CountingAlgorithm& algo) {
+  const std::uint64_t horizon = cell_horizon(spec, algo);
+  SC_CHECK(horizon > spec.margin,
+           "horizon " + std::to_string(horizon) + " <= margin " +
+               std::to_string(spec.margin) + " for " + algo.name() +
+               ": only runs that start valid could count as stabilised");
+  SC_CHECK(spec.stop_after_stable == 0 || spec.stop_after_stable >= spec.margin,
+           "stop_after_stable " + std::to_string(spec.stop_after_stable) + " < margin " +
+               std::to_string(spec.margin) + ": no run could count as stabilised");
+}
+
 ShardPlan plan_shards(const ExperimentSpec& spec, int shards, int shard) {
   SC_CHECK(shards >= 1, "need at least one shard");
   SC_CHECK(shard >= 0 && shard < shards, "shard index out of range");
@@ -139,7 +161,9 @@ ExperimentResult Engine::run(const ExperimentSpec& spec, const ShardPlan& shard,
   variant_algos.reserve(spec.variants.size());
   for (const counting::AlgorithmSpec& v : spec.variants) {
     variant_algos.push_back(counting::build(v));
+    check_margin(spec, *variant_algos.back());
   }
+  if (shared_algo != nullptr) check_margin(spec, *shared_algo);
 
   // What the runner must record, unioned over the sinks; recordings are
   // dropped again after delivery unless some sink retains them.
@@ -157,14 +181,6 @@ ExperimentResult Engine::run(const ExperimentSpec& spec, const ShardPlan& shard,
   // global grid, whole (adversary, placement) groups only.
   const std::size_t cell_offset = shard.group_begin * n_seeds;
   const std::size_t n_cells = shard.groups() * n_seeds;
-
-  // Resolve the horizon once if the algorithm is shared (the common case);
-  // per-cell algorithms resolve inside the cell.
-  const auto horizon = [&spec](const counting::CountingAlgorithm& algo) -> std::uint64_t {
-    if (spec.max_rounds != 0) return spec.max_rounds;
-    if (const auto bound = algo.stabilisation_bound()) return *bound + spec.extra_rounds;
-    return spec.horizon_override != 0 ? spec.horizon_override : 20000;
-  };
 
   ExperimentResult out;
   out.cells.resize(n_cells);
@@ -194,7 +210,7 @@ ExperimentResult Engine::run(const ExperimentSpec& spec, const ShardPlan& shard,
                    ? shared_algo
                    : variant_algos[static_cast<std::size_t>(cell.seed_index)];
     cfg.faulty = placements[cell.placement].faulty;
-    cfg.max_rounds = horizon(*cfg.algo);
+    cfg.max_rounds = cell_horizon(spec, *cfg.algo);
     cfg.seed = cell.seed;
     cfg.stop_after_stable = spec.stop_after_stable;
     cfg.record_outputs = rec_outputs;
@@ -326,7 +342,7 @@ ExperimentResult Engine::run(const ExperimentSpec& spec, const ShardPlan& shard,
           bc.algo = shared_algo;
           bc.composed = composed;
           bc.faulty = placements[p].faulty;
-          bc.max_rounds = horizon(*shared_algo);
+          bc.max_rounds = cell_horizon(spec, *shared_algo);
           bc.margin = spec.margin;
           bc.stop_after_stable = spec.stop_after_stable;
           bc.record_outputs = rec_outputs;

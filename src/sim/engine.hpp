@@ -151,6 +151,15 @@ struct ExperimentSpec {
 // horizon probes; the engine builds every variant itself).
 counting::AlgorithmPtr spec_algorithm(const ExperimentSpec& spec);
 
+// Refuses a spec whose runs of `algo` cannot be classified (the margin
+// cliff). A run counts as stabilised once its valid suffix reaches `margin`
+// rounds (or the horizon, if shorter), so with a horizon at or below
+// `margin` only runs that start valid could count, and an early exit at
+// 0 < stop_after_stable < margin cuts every run before it can count.
+// Throws std::invalid_argument naming both values. Engine::run checks the
+// shared algorithm and every variant; the sweep service checks at submit.
+void check_margin(const ExperimentSpec& spec, const counting::CountingAlgorithm& algo);
+
 // A contiguous slice of the grid's (adversary, placement) cell-groups: the
 // unit a distributed sweep assigns to one worker process. Partitioning on
 // whole groups (never splitting a group's seed range) keeps the batched and

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "util/check.hpp"
+#include "util/math.hpp"
 
 namespace synccount::synthesis {
 
@@ -17,13 +18,13 @@ std::vector<sat::Var> cube_branch_vars(const Encoder& enc, int depth) {
   // order; walk it through the accessor so a layout change cannot silently
   // desynchronise the splitter.
   const int node_dim = spec.symmetry == counting::Symmetry::kPerNode ? spec.n : 1;
+  const std::uint64_t vecs = util::ipow(spec.num_states, static_cast<unsigned>(spec.n));
   for (int nd = 0; nd < node_dim && static_cast<int>(vars.size()) < depth; ++nd) {
-    for (std::uint64_t vec = 0; static_cast<int>(vars.size()) < depth; ++vec) {
+    for (std::uint64_t vec = 0; vec < vecs && static_cast<int>(vars.size()) < depth; ++vec) {
       for (std::uint64_t s = 0;
            s < spec.num_states && static_cast<int>(vars.size()) < depth; ++s) {
         vars.push_back(enc.g_var(nd, vec, s));
       }
-      SC_CHECK(vec + 1 > 0, "cube depth exceeds the g layer");
     }
   }
   SC_CHECK(static_cast<int>(vars.size()) == depth,

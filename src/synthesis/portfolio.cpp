@@ -1,7 +1,8 @@
 #include "synthesis/portfolio.hpp"
 
-#include <algorithm>
+#include <atomic>
 #include <deque>
+#include <optional>
 #include <stdexcept>
 
 #include "sim/adversaries.hpp"
@@ -65,36 +66,24 @@ std::vector<sat::ExtLit> cube_assumptions(const Encoder& enc, const SynthJobSpec
   return assumptions;
 }
 
-CubeResult solve_cube_impl(const Encoder& enc, const SynthJobSpec& job,
-                           std::uint64_t cube_index,
-                           const std::vector<std::vector<sat::ExtLit>>& blocks,
-                           const std::function<const CubeResult*(int)>& cached) {
-  job.validate();
+// The canonical scan of one cube under the CEGAR blocking clauses `blocks`.
+// Returns nullopt when `stop` was raised mid-scan (the cube became moot).
+std::optional<CubeResult> solve_cube_impl(const Encoder& enc, const SynthJobSpec& job,
+                                          std::uint64_t cube_index,
+                                          const std::vector<std::vector<sat::ExtLit>>& blocks,
+                                          const std::atomic<bool>* stop) {
   const std::vector<sat::ExtLit> assumptions = cube_assumptions(enc, job, cube_index);
   const std::vector<sat::SolverConfig> configs = portfolio_configs(job.portfolio);
   CubeResult out;
   for (int c = 0; c < job.portfolio; ++c) {
-    if (cached != nullptr) {
-      if (const CubeResult* hit = cached(c)) {
-        out.conflicts += hit->conflicts;
-        out.decisions += hit->decisions;
-        out.restarts += hit->restarts;
-        if (hit->verdict != CubeVerdict::kUnknown) {
-          out.verdict = hit->verdict;
-          out.config_index = c;
-          out.globally_unsat = hit->globally_unsat;
-          out.table = hit->table;
-          return out;
-        }
-        continue;  // this config deterministically exhausts its budget
-      }
-    }
     sat::Solver solver(configs[static_cast<std::size_t>(c)]);
     enc.cnf().load_into(solver);
     for (const auto& b : blocks) solver.add_clause(b);
+    solver.set_stop_flag(stop);
     const sat::Result res = solver.solve_assuming(assumptions, job.conflict_budget);
     out.conflicts += solver.stats().conflicts;
     out.decisions += solver.stats().decisions;
+    out.propagations += solver.stats().propagations;
     out.restarts += solver.stats().restarts;
     switch (res) {
       case sat::Result::kSat:
@@ -114,7 +103,7 @@ CubeResult solve_cube_impl(const Encoder& enc, const SynthJobSpec& job,
       case sat::Result::kUnknown:
         break;  // next config in priority order
       case sat::Result::kCancelled:
-        SC_REQUIRE(false, "canonical scan runs without a stop flag");
+        return std::nullopt;
     }
   }
   out.verdict = CubeVerdict::kUnknown;
@@ -124,15 +113,15 @@ CubeResult solve_cube_impl(const Encoder& enc, const SynthJobSpec& job,
 }  // namespace
 
 CubeResult solve_cube(const Encoder& enc, const SynthJobSpec& job,
-                      std::uint64_t cube_index,
-                      const std::function<const CubeResult*(int)>& cached) {
-  return solve_cube_impl(enc, job, cube_index, {}, cached);
+                      std::uint64_t cube_index) {
+  job.validate();
+  return *solve_cube_impl(enc, job, cube_index, {}, nullptr);
 }
 
 CubeResult solve_cube(const SynthJobSpec& job, std::uint64_t cube_index) {
   job.validate();
-  Encoder enc(job.spec);
-  return solve_cube_impl(enc, job, cube_index, {}, nullptr);
+  const Encoder enc(job.spec);
+  return *solve_cube_impl(enc, job, cube_index, {}, nullptr);
 }
 
 bool prefilter_candidate(const counting::TransitionTable& table,
@@ -184,193 +173,28 @@ std::vector<sat::ExtLit> blocking_clause_for(const Encoder& enc,
   return clause;
 }
 
-namespace {
-
-// One (cube, config) slot of the race phase. Written by exactly one pool
-// task; read only after wait_idle() (the pool's completion barrier provides
-// the happens-before edge).
-struct RaceSlot {
-  enum class State : std::uint8_t { kSkipped, kDone, kCancelled };
-  State state = State::kSkipped;
-  sat::Result res = sat::Result::kUnknown;
-  std::uint64_t conflicts = 0;
-  std::uint64_t decisions = 0;
-  std::uint64_t propagations = 0;
-  std::uint64_t restarts = 0;
-  bool has_table = false;
-  counting::TransitionTable table;
-};
-
-struct RaceOutcome {
-  std::vector<std::vector<RaceSlot>> slots;  // [cube][config]
-  std::optional<std::uint64_t> winner;       // lowest-index SAT cube
-  bool globally_unsat = false;
-  bool any_unknown = false;   // an un-moot cube where every config budgeted out
-  std::uint64_t cubes_sat = 0;
-  std::uint64_t cubes_unsat = 0;
-  std::uint64_t cubes_unknown = 0;
-  std::uint64_t cubes_cancelled = 0;
-  AttemptStats attempt;
-};
-
-RaceOutcome run_race(const Encoder& enc, const SynthJobSpec& job,
-                     const std::vector<std::vector<sat::ExtLit>>& blocks,
-                     const std::vector<sat::SolverConfig>& configs,
-                     util::ThreadPool& pool) {
-  const std::uint64_t ncubes = std::uint64_t{1} << job.cube_depth;
-  const int k = job.portfolio;
-  RaceOutcome race;
-  race.slots.assign(static_cast<std::size_t>(ncubes),
-                    std::vector<RaceSlot>(static_cast<std::size_t>(k)));
-
-  // Per-cube stop flags: raised when the cube resolves (cancels sibling
-  // configs) or becomes moot (a lower cube went SAT). C++20 value-initialises
-  // atomics; deque keeps addresses stable without requiring movability.
-  std::deque<std::atomic<bool>> stops(static_cast<std::size_t>(ncubes));
-  std::atomic<std::uint64_t> sat_floor{ncubes};
-  std::atomic<bool> global_unsat{false};
-
-  const auto raise_moot = [&](std::uint64_t from) {
-    for (std::uint64_t i = from + 1; i < ncubes; ++i) {
-      stops[static_cast<std::size_t>(i)].store(true, std::memory_order_relaxed);
-    }
-  };
-
-  std::vector<std::vector<sat::ExtLit>> assumptions;
-  assumptions.reserve(static_cast<std::size_t>(ncubes));
-  for (std::uint64_t j = 0; j < ncubes; ++j) {
-    assumptions.push_back(cube_assumptions(enc, job, j));
-  }
-
-  const auto task = [&](std::uint64_t cube, int cfg) {
-    RaceSlot& slot = race.slots[static_cast<std::size_t>(cube)][static_cast<std::size_t>(cfg)];
-    std::atomic<bool>& stop = stops[static_cast<std::size_t>(cube)];
-    if (stop.load(std::memory_order_relaxed)) {
-      slot.state = RaceSlot::State::kCancelled;
-      return;
-    }
-    sat::Solver solver(configs[static_cast<std::size_t>(cfg)]);
-    enc.cnf().load_into(solver);
-    for (const auto& b : blocks) solver.add_clause(b);
-    solver.set_stop_flag(&stop);
-    const sat::Result res =
-        solver.solve_assuming(assumptions[static_cast<std::size_t>(cube)],
-                              job.conflict_budget);
-    slot.res = res;
-    slot.conflicts = solver.stats().conflicts;
-    slot.decisions = solver.stats().decisions;
-    slot.propagations = solver.stats().propagations;
-    slot.restarts = solver.stats().restarts;
-    if (res == sat::Result::kSat) {
-      slot.table = enc.decode(solver);
-      slot.has_table = true;
-    }
-    slot.state = res == sat::Result::kCancelled ? RaceSlot::State::kCancelled
-                                                : RaceSlot::State::kDone;
-    if (res == sat::Result::kSat || res == sat::Result::kUnsat ||
-        res == sat::Result::kUnsatAssumptions) {
-      // First winner cancels: sibling configs of this cube stop now.
-      stop.store(true, std::memory_order_relaxed);
-    }
-    if (res == sat::Result::kSat) {
-      // Higher-index cubes can no longer win; lower ones keep running so the
-      // reported winner stays the timing-independent lowest SAT cube.
-      std::uint64_t cur = sat_floor.load(std::memory_order_relaxed);
-      while (cube < cur &&
-             !sat_floor.compare_exchange_weak(cur, cube, std::memory_order_relaxed)) {
-      }
-      raise_moot(sat_floor.load(std::memory_order_relaxed));
-    }
-    if (res == sat::Result::kUnsat) {
-      // UNSAT without assumptions: the whole instance (at max_time) is dead,
-      // every cube of every remaining round included.
-      global_unsat.store(true, std::memory_order_relaxed);
-      for (auto& s : stops) s.store(true, std::memory_order_relaxed);
-    }
-  };
-
-  // Submit cube-major in REVERSE so a single-threaded pool (LIFO own-queue
-  // pops) still explores cube 0, config 0 first -- the canonical order that
-  // minimises wasted work before cancellation kicks in.
-  for (std::uint64_t j = ncubes; j-- > 0;) {
-    for (int c = k; c-- > 0;) {
-      pool.submit([&task, j, c] { task(j, c); });
-    }
-  }
-  pool.wait_idle();
-
-  race.globally_unsat = global_unsat.load();
-  for (std::uint64_t j = 0; j < ncubes; ++j) {
-    bool sat = false, unsat = false;
-    int done = 0;
-    for (int c = 0; c < k; ++c) {
-      const RaceSlot& slot = race.slots[static_cast<std::size_t>(j)][static_cast<std::size_t>(c)];
-      race.attempt.conflicts += slot.conflicts;
-      race.attempt.decisions += slot.decisions;
-      race.attempt.propagations += slot.propagations;
-      race.attempt.restarts += slot.restarts;
-      if (slot.state != RaceSlot::State::kDone) continue;
-      ++done;
-      if (slot.res == sat::Result::kSat) sat = true;
-      if (slot.res == sat::Result::kUnsat || slot.res == sat::Result::kUnsatAssumptions) {
-        unsat = true;
-      }
-    }
-    if (sat) {
-      ++race.cubes_sat;
-      if (!race.winner.has_value() || j < *race.winner) race.winner = j;
-    } else if (unsat) {
-      ++race.cubes_unsat;
-    } else if (done == k) {
-      ++race.cubes_unknown;
-    } else {
-      ++race.cubes_cancelled;
-    }
-  }
-  // "unknown" only matters below the winner: moot unknown cubes are just
-  // cancelled work, not missing knowledge.
-  const std::uint64_t horizon = race.winner.value_or(ncubes);
-  for (std::uint64_t j = 0; j < horizon; ++j) {
-    bool resolved = false;
-    for (int c = 0; c < k; ++c) {
-      const RaceSlot& slot = race.slots[static_cast<std::size_t>(j)][static_cast<std::size_t>(c)];
-      if (slot.state == RaceSlot::State::kDone && slot.res != sat::Result::kUnknown) {
-        resolved = true;
-      }
-    }
-    if (!resolved) race.any_unknown = true;
-  }
-
-  race.attempt.time_bound = job.time_bound;
-  race.attempt.result = race.winner.has_value() ? "sat"
-                        : race.globally_unsat   ? "unsat"
-                        : race.any_unknown      ? "unknown"
-                                                : "unsat-assumptions";
-  return race;
-}
-
-}  // namespace
-
 SynthesisOutcome synthesize_portfolio(SynthesisSpec spec, const ParallelOptions& options,
                                       ParallelOutcomeInfo* info_out) {
   SC_CHECK(options.base.min_time >= 1 && options.base.min_time <= options.base.max_time,
            "bad time sweep");
-  SC_CHECK(options.cube_depth >= 0 && options.cube_depth <= 20,
-           "cube_depth must be in [0, 20]");
   SC_CHECK(options.max_refinements >= 0, "max_refinements must be non-negative");
   ParallelOutcomeInfo info;
   SynthesisOutcome out;
   spec.max_time = options.base.max_time;
   const Encoder enc(spec);
   out.last_size = enc.size();
-  const std::vector<sat::SolverConfig> configs = portfolio_configs(options.portfolio);
-  util::ThreadPool pool(options.threads);
 
   SynthJobSpec job;
   job.spec = spec;
+  job.time_bound = options.base.min_time;
   job.cube_depth = options.cube_depth;
   job.portfolio = options.portfolio;
   job.conflict_budget = options.base.conflict_budget;
+  // Bad options throw here rather than on a pool thread.
+  job.validate();
+  (void)cube_branch_vars(enc, job.cube_depth);
+  const std::size_t ncubes = std::size_t{1} << job.cube_depth;
+  util::ThreadPool pool(options.threads);
 
   const auto publish_info = [&] {
     if (info_out != nullptr) *info_out = info;
@@ -380,90 +204,90 @@ SynthesisOutcome synthesize_portfolio(SynthesisSpec spec, const ParallelOptions&
     job.time_bound = R;
     std::vector<std::vector<sat::ExtLit>> blocks;  // CEGAR refutations
     for (int round = 0;; ++round) {
-      RaceOutcome race = run_race(enc, job, blocks, configs, pool);
-      out.attempts.push_back(race.attempt);
-      out.total_conflicts += race.attempt.conflicts;
-      info.cubes_sat += race.cubes_sat;
-      info.cubes_unsat += race.cubes_unsat;
-      info.cubes_unknown += race.cubes_unknown;
-      info.cubes_cancelled += race.cubes_cancelled;
+      // One scan per cube. C++20 value-initialises the atomics; deque keeps
+      // their addresses stable without requiring movability.
+      std::vector<std::optional<CubeResult>> scans(ncubes);  // nullopt: stopped
+      std::deque<std::atomic<bool>> stops(ncubes);
+      pool.parallel_for(ncubes, [&](std::size_t j) {
+        if (stops[j].load(std::memory_order_relaxed)) return;
+        scans[j] = solve_cube_impl(enc, job, j, blocks, &stops[j]);
+        if (!scans[j].has_value()) return;
+        // Higher cubes can no longer win; lower ones keep running so the
+        // winner stays the timing-independent lowest SAT cube. A global
+        // UNSAT (no model even at max_time) kills every cube.
+        const std::size_t from = scans[j]->globally_unsat                 ? 0
+                                 : scans[j]->verdict == CubeVerdict::kSat ? j + 1
+                                                                          : ncubes;
+        for (std::size_t i = from; i < ncubes; ++i) {
+          stops[i].store(true, std::memory_order_relaxed);
+        }
+      });
 
-      if (!race.winner.has_value()) {
+      AttemptStats attempt;
+      attempt.time_bound = R;
+      std::optional<std::size_t> winner;
+      bool globally_unsat = false, unknown = false;
+      for (std::size_t j = 0; j < ncubes; ++j) {
+        if (!scans[j].has_value()) {
+          ++info.cubes_cancelled;
+          continue;
+        }
+        const CubeResult& scan = *scans[j];
+        switch (scan.verdict) {
+          case CubeVerdict::kSat: ++info.cubes_sat; break;
+          case CubeVerdict::kUnsat: ++info.cubes_unsat; break;
+          case CubeVerdict::kUnknown: ++info.cubes_unknown; break;
+        }
+        if (winner.has_value()) continue;  // moot: above the lowest SAT cube
+        attempt.conflicts += scan.conflicts;
+        attempt.decisions += scan.decisions;
+        attempt.propagations += scan.propagations;
+        attempt.restarts += scan.restarts;
+        if (scan.verdict == CubeVerdict::kSat) winner = j;
+        globally_unsat = globally_unsat || scan.globally_unsat;
+        unknown = unknown || scan.verdict == CubeVerdict::kUnknown;
+      }
+      attempt.result = winner.has_value() ? "sat"
+                       : globally_unsat   ? "unsat"
+                       : unknown          ? "unknown"
+                                          : "unsat-assumptions";
+      out.attempts.push_back(attempt);
+      out.total_conflicts += attempt.conflicts;
+
+      if (!winner.has_value()) {
         SC_REQUIRE(blocks.empty(),
                    "refinement emptied a satisfiable instance: the empirical "
                    "prefilter refuted models of an exact encoding (encoder bug)");
-        if (race.globally_unsat) {
+        if (globally_unsat) {
           // No algorithm even at max_time: stop the sweep with an UNSAT
           // proof, exactly like synthesize_incremental.
           out.note = "unsat at max_time R=" + std::to_string(options.base.max_time);
           publish_info();
           return out;
         }
-        if (race.any_unknown) {
+        if (unknown) {
           out.budget_exhausted = true;
           out.note = "conflict budget exhausted at R=" + std::to_string(R);
         }
         break;  // next R
       }
 
-      const std::uint64_t W = *race.winner;
-      const std::vector<RaceSlot>& row = race.slots[static_cast<std::size_t>(W)];
-      const auto cache = [&row](int c) -> const CubeResult* {
-        static thread_local CubeResult scratch;
-        const RaceSlot& slot = row[static_cast<std::size_t>(c)];
-        if (slot.state != RaceSlot::State::kDone) return nullptr;
-        scratch = CubeResult{};
-        scratch.conflicts = slot.conflicts;
-        scratch.decisions = slot.decisions;
-        scratch.restarts = slot.restarts;
-        switch (slot.res) {
-          case sat::Result::kSat:
-            scratch.verdict = CubeVerdict::kSat;
-            scratch.table = slot.table;
-            break;
-          case sat::Result::kUnsat:
-            scratch.verdict = CubeVerdict::kUnsat;
-            scratch.globally_unsat = true;
-            break;
-          case sat::Result::kUnsatAssumptions:
-            scratch.verdict = CubeVerdict::kUnsat;
-            break;
-          default:
-            scratch.verdict = CubeVerdict::kUnknown;
-            break;
-        }
-        return &scratch;
-      };
-      const CubeResult winner = solve_cube_impl(enc, job, W, blocks, cache);
-      SC_REQUIRE(winner.verdict == CubeVerdict::kSat,
-                 "canonical scan lost a SAT verdict the race established");
-
+      CubeResult& scan = *scans[*winner];
       if (options.prefilter) {
         ++info.prefilter_runs;
-        if (!prefilter_candidate(winner.table, static_cast<std::uint64_t>(R),
+        if (!prefilter_candidate(scan.table, static_cast<std::uint64_t>(R),
                                  options.prefilter_seeds)) {
           ++info.prefilter_rejections;
           SC_REQUIRE(round < options.max_refinements,
                      "empirical prefilter kept refuting candidates past the "
                      "refinement cap -- encoder/verifier disagreement");
-          blocks.push_back(blocking_clause_for(enc, winner.table));
-          continue;  // re-race this R with the refuted model excluded
+          blocks.push_back(blocking_clause_for(enc, scan.table));
+          continue;  // re-scan this R with the refuted model excluded
         }
       }
-
-      counting::TransitionTable table = winner.table;
-      const counting::TableAlgorithm candidate(table);
-      const VerifyResult vr = verify(candidate);
-      SC_REQUIRE(vr.ok, "SAT model failed exact verification: " + vr.failure);
-      SC_REQUIRE(vr.worst_case_time <= static_cast<std::uint64_t>(R),
-                 "verifier found a longer stabilisation than the encoding allows");
-      table.verified_time = vr.worst_case_time;
-      out.found = true;
-      out.table = std::move(table);
-      out.time_bound_used = R;
-      out.exact_time = vr.worst_case_time;
-      info.winning_cube = W;
-      info.winning_config = winner.config_index;
+      out.certify(std::move(scan.table), R);
+      info.winning_cube = *winner;
+      info.winning_config = scan.config_index;
       publish_info();
       return out;
     }

@@ -1,24 +1,25 @@
-// The parallel synthesis engine: portfolio CDCL + cube-and-conquer + an
-// empirical 64-lane prefilter, with a hard determinism contract.
+// The parallel synthesis engine: cube-and-conquer with one canonical scan
+// per cube across a thread pool, plus an empirical 64-lane prefilter, with
+// a hard determinism contract.
 //
 // Layering (synthesize_portfolio):
 //   * The admissible-time sweep R = min_time..max_time stays sequential,
 //     mirroring synthesize_incremental's semantics.
 //   * Within one R the instance is split into 2^cube_depth cubes
-//     (synthesis/cube.hpp); every (cube, config) pair of the K-config
-//     portfolio races across a util::ThreadPool with first-winner-cancels
-//     semantics: the first config to resolve a cube raises that cube's stop
-//     flag (sat::Solver polls it and returns Result::kCancelled), and a SAT
-//     cube cancels every higher-index cube outright (they can no longer win).
-//   * The reported winner is timing-independent: the winning cube is the
-//     LOWEST-index SAT cube (lower cubes always run to completion -- only
-//     higher cubes are cancelled), and the winning model is re-derived by the
-//     canonical priority scan solve_cube(), which tries configs in fixed
-//     priority order with deterministic budgets. Cube verdicts themselves are
-//     config-independent (SAT/UNSAT is a property of the formula; "unknown"
-//     means every config exhausted its deterministic budget), so the whole
-//     outcome -- verdict, winning cube, decoded table -- is bit-identical
-//     across thread counts and across local-pool vs serve-worker execution.
+//     (synthesis/cube.hpp), and each cube is one task on a util::ThreadPool,
+//     started in index order. The task is the canonical scan solve_cube()
+//     that serve workers also run: configs in priority order, each on a
+//     fresh solver with the same deterministic conflict budget, until one
+//     resolves the cube. A SAT cube raises the stop flags of every
+//     higher-index cube (they can no longer win; sat::Solver polls the flag
+//     and returns Result::kCancelled), and a global UNSAT raises them all.
+//   * The reported outcome is timing-independent: the winner is the
+//     LOWEST-index SAT cube (no flag ever stops a cube below it) and its
+//     model is that cube's own scan result. Scans are deterministic, so the
+//     whole outcome -- verdict, winning cube and config, decoded table, and
+//     the attempt stats of a found table (cubes 0..winner) -- is
+//     bit-identical across thread counts and across local-pool vs
+//     serve-worker execution.
 //   * Decoded candidates pass a cheap empirical screen (sim::run_batch,
 //     64-lane backend, random + split adversaries over a fixed seed list)
 //     before the exponential game-tree verifier; an empirically falsified
@@ -28,10 +29,8 @@
 //     at batch-screen cost instead of letting them reach users.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
-#include <optional>
+#include <string>
 #include <vector>
 
 #include "synthesis/cube.hpp"
@@ -42,9 +41,10 @@ namespace synccount::synthesis {
 // The deterministic config family, in priority order. Index 0 is the
 // canonical default (MiniSat-style: false phases, no random branching);
 // further entries diversify seed, phase policy, random-branch frequency,
-// restart scaling and activity decay. portfolio_configs(k) is a prefix of
-// portfolio_configs(k') for k <= k', so growing the portfolio never changes
-// what the canonical scan returns, only how fast the race resolves.
+// restart scaling and activity decay, and are tried only when every earlier
+// config ran out of its conflict budget. portfolio_configs(k) is a prefix
+// of portfolio_configs(k') for k <= k', so growing the portfolio never
+// changes a cube that an earlier config resolves.
 std::vector<sat::SolverConfig> portfolio_configs(int k);
 
 enum class CubeVerdict { kSat, kUnsat, kUnknown };
@@ -57,34 +57,35 @@ struct CubeResult {
   bool globally_unsat = false;         // solver proved UNSAT sans assumptions
   std::uint64_t conflicts = 0;         // summed over the configs tried
   std::uint64_t decisions = 0;
+  std::uint64_t propagations = 0;      // in-process only (not in serve records)
   std::uint64_t restarts = 0;
   counting::TransitionTable table;     // decoded model when verdict == kSat
 };
 
-// The canonical per-cube protocol shared by serve workers and the local
-// engine's winner re-derivation: configs tried strictly in priority order,
-// each on a fresh solver with the same deterministic conflict budget; the
-// first resolved verdict wins and (for SAT) its model is decoded. The
-// optional `cached` callback lets the local engine reuse race-phase results
-// (a cached entry must equal what the re-run would produce -- guaranteed,
-// because each (cube, config, budget) solve is deterministic).
-CubeResult solve_cube(
-    const Encoder& enc, const SynthJobSpec& job, std::uint64_t cube_index,
-    const std::function<const CubeResult*(int config)>& cached = nullptr);
+// The canonical per-cube scan, the one unit of synthesis work shared by
+// serve workers and the local engine: configs tried strictly in priority
+// order, each on a fresh solver with the same deterministic conflict
+// budget; the first resolved verdict wins and (for SAT) its model is
+// decoded.
+CubeResult solve_cube(const Encoder& enc, const SynthJobSpec& job,
+                      std::uint64_t cube_index);
 
 // Convenience for serve workers: encode + solve one leased cube.
 CubeResult solve_cube(const SynthJobSpec& job, std::uint64_t cube_index);
 
 struct ParallelOptions {
   SynthesisOptions base;        // time sweep + per-config conflict budget
-  int portfolio = 4;            // K diversified configs
-  int cube_depth = 3;           // 2^d cubes per R (0 = portfolio-only)
+  int portfolio = 4;            // K configs each cube's scan may try
+  int cube_depth = 3;           // 2^d cubes per R (0 = a single cube)
   int threads = 0;              // pool width; 0 = hardware concurrency
   bool prefilter = true;        // empirical screen before the exact verifier
   int prefilter_seeds = 128;    // lanes per (adversary, placement) screen
   int max_refinements = 8;      // CEGAR blocking-clause rounds per R
 };
 
+// Diagnostics of one synthesize_portfolio call. The four cube counters
+// include moot cubes (above a winner, or after a global UNSAT), so they vary
+// with timing; everything else does not.
 struct ParallelOutcomeInfo {
   std::uint64_t cubes_sat = 0;
   std::uint64_t cubes_unsat = 0;
@@ -111,10 +112,12 @@ std::vector<sat::ExtLit> blocking_clause_for(const Encoder& enc,
 
 // The parallel driver. Same contract as synthesize_incremental (found /
 // budget_exhausted / UNSAT-proof semantics, per-R attempts in
-// outcome.attempts), plus `info` diagnostics when non-null. The returned
-// table is bit-identical for fixed (spec, options ex. threads) across any
-// thread count, and matches what serve workers produce for the same
-// SynthJobSpec -- see the determinism notes above.
+// outcome.attempts), plus `info` diagnostics when non-null. A round's
+// attempt stats sum the scans of cubes 0..winner when it found a model, and
+// every finished scan otherwise. The returned table is bit-identical for
+// fixed (spec, options ex. threads) across any thread count, and matches
+// what serve workers produce for the same SynthJobSpec -- see the
+// determinism notes above.
 SynthesisOutcome synthesize_portfolio(SynthesisSpec spec,
                                       const ParallelOptions& options,
                                       ParallelOutcomeInfo* info = nullptr);

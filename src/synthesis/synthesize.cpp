@@ -51,6 +51,18 @@ std::string SynthesisOutcome::stats_string() const {
   return os.str();
 }
 
+void SynthesisOutcome::certify(counting::TransitionTable model, int time_bound) {
+  const VerifyResult vr = verify(counting::TableAlgorithm(model));
+  SC_REQUIRE(vr.ok, "SAT model failed exact verification: " + vr.failure);
+  SC_REQUIRE(vr.worst_case_time <= static_cast<std::uint64_t>(time_bound),
+             "verifier found a longer stabilisation than the encoding allows");
+  model.verified_time = vr.worst_case_time;
+  found = true;
+  table = std::move(model);
+  time_bound_used = time_bound;
+  exact_time = vr.worst_case_time;
+}
+
 SynthesisOutcome synthesize(SynthesisSpec spec, const SynthesisOptions& options) {
   SC_CHECK(options.min_time >= 1 && options.min_time <= options.max_time,
            "bad time sweep");
@@ -71,17 +83,7 @@ SynthesisOutcome synthesize(SynthesisSpec spec, const SynthesisOptions& options)
     }
     if (res == sat::Result::kUnsat) continue;
 
-    counting::TransitionTable table = enc.decode(solver);
-    const counting::TableAlgorithm candidate(table);
-    const VerifyResult vr = verify(candidate);
-    SC_REQUIRE(vr.ok, "SAT model failed exact verification: " + vr.failure);
-    SC_REQUIRE(vr.worst_case_time <= static_cast<std::uint64_t>(R),
-               "verifier found a longer stabilisation than the encoding allows");
-    table.verified_time = vr.worst_case_time;
-    out.found = true;
-    out.table = std::move(table);
-    out.time_bound_used = R;
-    out.exact_time = vr.worst_case_time;
+    out.certify(enc.decode(solver), R);
     return out;
   }
   return out;
@@ -118,17 +120,7 @@ SynthesisOutcome synthesize_incremental(SynthesisSpec spec, const SynthesisOptio
     }
     if (res == sat::Result::kUnsatAssumptions) continue;
 
-    counting::TransitionTable table = enc.decode(solver);
-    const counting::TableAlgorithm candidate(table);
-    const VerifyResult vr = verify(candidate);
-    SC_REQUIRE(vr.ok, "SAT model failed exact verification: " + vr.failure);
-    SC_REQUIRE(vr.worst_case_time <= static_cast<std::uint64_t>(R),
-               "verifier found a longer stabilisation than the encoding allows");
-    table.verified_time = vr.worst_case_time;
-    out.found = true;
-    out.table = std::move(table);
-    out.time_bound_used = R;
-    out.exact_time = vr.worst_case_time;
+    out.certify(enc.decode(solver), R);
     return out;
   }
   return out;

@@ -46,6 +46,12 @@ struct SynthesisOutcome {
 
   // One line per attempt plus a totals line; stable format for logs/tests.
   std::string stats_string() const;
+
+  // Certifies a decoded model of the time-bound-R encoding with the exact
+  // verifier and records it as the found table (found, table with its
+  // verified_time, time_bound_used, exact_time). Throws std::logic_error
+  // when the verifier rejects the model or finds it slower than R.
+  void certify(counting::TransitionTable model, int time_bound);
 };
 
 // Synthesises a counter for the given spec (the spec's max_time is ignored;

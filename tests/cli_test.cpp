@@ -106,6 +106,46 @@ TEST(Cli, UnknownFlagsAndSubcommandsExitWithStatus2) {
   EXPECT_EQ(run_cli("sweep --resume --table=3states"), 2);  // --resume without --spec
 }
 
+// The margin cliff: runs that could only count as stabilised by starting
+// valid are refused up front (exit 2) instead of reported as a rate.
+TEST(Cli, SweepRefusesAHorizonAtOrBelowTheMargin) {
+  REQUIRE_CLI();
+  EXPECT_EQ(run_cli("sweep --table=3states --rounds=64 --seeds=5"), 2);
+  EXPECT_EQ(run_cli("sweep --table=3states --rounds=100 --seeds=5"), 2);
+  EXPECT_EQ(run_cli("sweep --table=3states --rounds=64 --seeds=5 --shards=2"), 2);
+  EXPECT_EQ(run_cli("sweep --table=3states --seeds=5 --stop-after-stable=40"), 2);
+  EXPECT_EQ(run_cli("sweep --table=3states --rounds=101 --seeds=5"), 0);
+  EXPECT_EQ(run_cli("sweep --table=3states --seeds=5 --stop-after-stable=40 --margin=30"), 0);
+}
+
+// Every file a command writes is checked: an unwritable path exits 1
+// instead of reporting that it was saved.
+TEST(Cli, UnwritableOutputsExitWithStatus1) {
+  REQUIRE_CLI();
+  TempDir dir;
+  const std::string missing = dir.file("missing") + "/";
+  const std::string synth =
+      "synth --n=4 --f=1 --states=3 --symmetry=cyclic --min-time=6 --max-time=6 "
+      "--cube-depth=3 --budget=2000 --jobs=1";
+  EXPECT_EQ(run_cli(synth + " --save=" + missing + "x.table"), 1);
+  EXPECT_EQ(run_cli(synth + " --save=" + dir.file("x.table")), 0);
+  EXPECT_TRUE(std::filesystem::exists(dir.file("x.table")));
+
+  const std::string synthesize =
+      "synthesize --n=4 --f=1 --states=3 --symmetry=cyclic --min-time=7 --max-time=8";
+  EXPECT_EQ(run_cli(synthesize + " --save=" + missing + "y.table"), 1);
+  EXPECT_EQ(run_cli(synthesize + " --save=" + dir.file("y.table")), 0);
+  EXPECT_TRUE(std::filesystem::exists(dir.file("y.table")));
+
+  EXPECT_EQ(run_cli("synthesize --max-time=2 --dimacs=" + missing + "x.cnf"), 1);
+  EXPECT_EQ(run_cli("synthesize --max-time=2 --dimacs=" + dir.file("x.cnf")), 0);
+  EXPECT_EQ(run_cli("synth --max-time=2 --emit-cnf=" + missing + "y.cnf"), 1);
+
+  EXPECT_EQ(run_cli("run --f=1 --trace=" + missing + "t.csv"), 1);
+  EXPECT_EQ(run_cli("run --f=1 --trace=" + dir.file("t.csv")), 0);
+  EXPECT_TRUE(std::filesystem::exists(dir.file("t.csv")));
+}
+
 // --- Declarative spec flow ---------------------------------------------------
 
 TEST(Cli, SweepSpecReproducesInProcessRunBitIdentically) {

@@ -14,6 +14,7 @@
 #include <thread>
 
 #include "boosting/planner.hpp"
+#include "counting/algorithm_spec.hpp"
 #include "counting/randomized.hpp"
 #include "counting/table_algorithm.hpp"
 #include "counting/trivial.hpp"
@@ -430,6 +431,46 @@ sim::ExperimentSpec table1_spec(std::vector<std::string> adversaries, int seeds)
   spec.stop_after_stable = 40;
   spec.margin = 30;
   return spec;
+}
+
+// Throws std::invalid_argument whose message contains `what`.
+void expect_refused(const sim::ExperimentSpec& spec, const std::string& what) {
+  try {
+    (void)sim::Engine(1).run(spec);
+    ADD_FAILURE() << "expected the spec to be refused: " << what;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+  }
+}
+
+// The margin cliff: a run counts as stabilised once its valid suffix spans
+// `margin` rounds, so a horizon at or below it (or an early exit below it)
+// would report a rate that only counts runs starting valid.
+TEST(Engine, RefusesAHorizonOrEarlyExitBelowTheMargin) {
+  sim::ExperimentSpec spec = table1_spec({"split"}, 2);  // margin 30
+  EXPECT_NO_THROW((void)sim::Engine(1).run(spec));
+  spec.max_rounds = 30;
+  expect_refused(spec, "horizon 30 <= margin 30");
+  spec.max_rounds = 31;
+  EXPECT_NO_THROW((void)sim::Engine(1).run(spec));
+  // The bound-derived horizon: certified T = 6 plus 20 extra rounds.
+  spec.max_rounds = 0;
+  spec.extra_rounds = 20;
+  expect_refused(spec, "horizon 26 <= margin 30");
+  spec.extra_rounds = 300;
+  spec.stop_after_stable = 29;
+  expect_refused(spec, "stop_after_stable 29 < margin 30");
+  spec.stop_after_stable = 0;  // run to the horizon
+  EXPECT_NO_THROW((void)sim::Engine(1).run(spec));
+
+  // Every variant's horizon is checked, not just the shared algorithm's.
+  counting::AlgorithmSpec table;
+  table.kind = counting::AlgorithmSpec::Kind::kTable;
+  table.table_name = "3states";
+  spec.algo = nullptr;
+  spec.variants = {table, table};
+  spec.extra_rounds = 20;
+  expect_refused(spec, "horizon 26 <= margin 30");
 }
 
 TEST(Engine, DeliveryDoesNotBlockWorkers) {

@@ -136,6 +136,16 @@ TEST(CubeSplit, RejectsOutOfRangeIndex) {
   const synthesis::Encoder enc(spec_4_1_3());
   EXPECT_THROW(synthesis::make_cube(enc, 3, 8), std::invalid_argument);
   EXPECT_THROW(synthesis::make_cube(enc, -1, 0), std::invalid_argument);
+  // A depth beyond the g layer (one node, 2 vectors x 2 targets) is refused,
+  // and the parallel engine refuses it before any pool thread runs a cube.
+  const synthesis::SynthesisSpec tiny{1, 0, 2, 2, counting::Symmetry::kUniform, 2};
+  EXPECT_THROW(synthesis::make_cube(synthesis::Encoder(tiny), 5, 0), std::invalid_argument);
+  synthesis::ParallelOptions opt;
+  opt.base.min_time = 2;
+  opt.base.max_time = 2;
+  opt.cube_depth = 5;
+  opt.threads = 4;
+  EXPECT_THROW(synthesis::synthesize_portfolio(tiny, opt), std::invalid_argument);
 }
 
 // --- SynthJobSpec JSON -------------------------------------------------------
@@ -160,10 +170,62 @@ TEST(SynthJobSpec, RejectsNonSynthJson) {
 
 // --- The determinism contract ------------------------------------------------
 
+// Pinned outcomes of the reference instance at two budgets and of two
+// sweeps that end without a table; none may depend on the thread count.
+struct GoldenOutcome {
+  const char* what;
+  synthesis::SynthesisSpec spec;
+  int min_time;
+  int max_time;
+  std::uint64_t budget;
+  const char* table;  // table_to_string of the found table; nullptr: none
+  std::uint64_t winning_cube;
+  int winning_config;
+  int time_bound_used;
+  std::uint64_t exact_time;
+  bool budget_exhausted;
+};
+
+const GoldenOutcome kGolden[] = {
+    {"4/1/3 cyclic R=6, budget 0", spec_4_1_3(), 6, 6, 0,
+     "synccount-table v1\n"
+     "n 4\n"
+     "f 1\n"
+     "states 3\n"
+     "modulus 2\n"
+     "symmetry cyclic\n"
+     "verified_time 6\n"
+     "label synthesized\n"
+     "g 1 1 1 1 0 1 1 0 1 1 1 1 0 0 1 1 0 1 1 1 1 1 0 1 1 0 1 1 0 1 1 0 1 1 0 1 2 0 1 2 0 1 0 "
+     "0 1 1 0 1 1 0 0 1 1 1 1 0 1 1 0 1 1 0 1 1 0 1 0 0 1 1 0 1 1 1 1 1 0 1 1 1 1\n"
+     "h 0 1 0\n",
+     2, 0, 6, 6, false},
+    // Config 0 exhausts its budget on cube 2, so config 1 resolves it.
+    {"4/1/3 cyclic R=6, budget 2000", spec_4_1_3(), 6, 6, 2000,
+     "synccount-table v1\n"
+     "n 4\n"
+     "f 1\n"
+     "states 3\n"
+     "modulus 2\n"
+     "symmetry cyclic\n"
+     "verified_time 6\n"
+     "label synthesized\n"
+     "g 1 1 1 1 0 1 1 1 1 1 1 1 2 0 1 1 1 1 1 1 1 1 0 1 1 1 1 1 0 1 1 2 1 1 0 1 0 0 1 2 0 1 0 "
+     "0 1 1 0 1 1 0 1 1 0 1 1 1 1 1 0 1 1 1 1 1 1 1 0 0 1 1 1 1 1 1 1 1 1 1 1 1 1\n"
+     "h 0 1 0\n",
+     2, 1, 6, 6, false},
+    {"|X|=2 uniform, R 1..8 (UNSAT proof)", {4, 1, 2, 2, counting::Symmetry::kUniform, 1},
+     1, 8, 0, nullptr, 0, -1, 0, 0, false},
+    {"|X|=4 uniform, R=8, budget 10", {4, 1, 4, 2, counting::Symmetry::kUniform, 1},
+     8, 8, 10, nullptr, 0, -1, 0, 0, true},
+};
+
 TEST(SynthesizePortfolio, BitIdenticalAcrossThreadCounts) {
   const synthesis::SynthesisSpec spec = spec_4_1_3();
   std::string reference;
   std::uint64_t reference_cube = 0;
+  std::string reference_stats;
+  std::uint64_t reference_conflicts = 0;
   for (const int threads : {1, 2, 8}) {
     synthesis::ParallelOptions opt = fast_options();
     opt.threads = threads;
@@ -178,14 +240,42 @@ TEST(SynthesizePortfolio, BitIdenticalAcrossThreadCounts) {
     if (reference.empty()) {
       reference = text;
       reference_cube = info.winning_cube;
+      reference_stats = out.stats_string();
+      reference_conflicts = out.total_conflicts;
     } else {
       EXPECT_EQ(text, reference) << "threads=" << threads;
       EXPECT_EQ(info.winning_cube, reference_cube) << "threads=" << threads;
+      // The attempt stats of a found table count the scans of cubes
+      // 0..winner, whose work does not depend on timing.
+      EXPECT_EQ(out.total_conflicts, reference_conflicts) << "threads=" << threads;
+      EXPECT_EQ(out.stats_string(), reference_stats) << "threads=" << threads;
     }
     // Registry equivalence: the re-discovered table is exactly as fast as
     // the embedded computer-designed one.
     EXPECT_EQ(out.exact_time,
               synthesis::known_table_4_1_3states().verified_time.value());
+  }
+
+  for (const GoldenOutcome& g : kGolden) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(g.what) + ", threads=" + std::to_string(threads));
+      synthesis::ParallelOptions opt = fast_options();
+      opt.base.min_time = g.min_time;
+      opt.base.max_time = g.max_time;
+      opt.base.conflict_budget = g.budget;
+      opt.threads = threads;
+      synthesis::ParallelOutcomeInfo info;
+      const synthesis::SynthesisOutcome out = synthesize_portfolio(g.spec, opt, &info);
+      ASSERT_EQ(out.found, g.table != nullptr);
+      if (out.found) {
+        EXPECT_EQ(counting::table_to_string(out.table), g.table);
+      }
+      EXPECT_EQ(info.winning_cube, g.winning_cube);
+      EXPECT_EQ(info.winning_config, g.winning_config);
+      EXPECT_EQ(out.time_bound_used, g.time_bound_used);
+      EXPECT_EQ(out.exact_time, g.exact_time);
+      EXPECT_EQ(out.budget_exhausted, g.budget_exhausted);
+    }
   }
 }
 

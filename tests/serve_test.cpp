@@ -590,6 +590,29 @@ TEST(Daemon, ErrorsBecomeOkFalseResponsesNotThrows) {
   EXPECT_FALSE(daemon.handle(serve::make_request("lease")).at("ok").as_bool());
 }
 
+TEST(Daemon, SubmitRefusesTheMarginCliff) {
+  DaemonFixture fx;
+  serve::Daemon daemon = fx.make();
+  sim::ExperimentSpec spec = small_spec();  // margin 8
+  spec.max_rounds = 8;
+  util::Json resp = daemon.handle(submit_request("cliff", spec));
+  ASSERT_FALSE(resp.at("ok").as_bool());
+  EXPECT_NE(resp.at("error").as_string().find("horizon 8 <= margin 8"), std::string::npos)
+      << resp.dump();
+  spec.max_rounds = 48;
+  spec.stop_after_stable = 4;
+  resp = daemon.handle(submit_request("cliff", spec));
+  ASSERT_FALSE(resp.at("ok").as_bool());
+  EXPECT_NE(resp.at("error").as_string().find("stop_after_stable 4 < margin 8"),
+            std::string::npos)
+      << resp.dump();
+  // Nothing was queued under the refused name.
+  spec.stop_after_stable = 0;
+  resp = daemon.handle(submit_request("cliff", spec));
+  ASSERT_TRUE(serve::check_response(resp));
+  EXPECT_FALSE(resp.at("existed").as_bool());
+}
+
 TEST(Daemon, DrainStopsLeasingAndShutdownStops) {
   DaemonFixture fx;
   serve::Daemon daemon = fx.make();

@@ -24,9 +24,11 @@ Speedups are host-relative (both engines run on the same machine in the
 same process), so the ratio comparison is robust to CI machine changes.
 The section's "baseline_conflicts" must equal the recorded value exactly:
 the single-threaded incremental run is deterministic (one solver, one
-config, no race) and runs learned-clause reduction, so any change in its
-conflict count means the CDCL search itself drifted. The modes' conflict
-counts depend on race timing and are not gated.
+config) and runs learned-clause reduction, so any change in its conflict
+count means the CDCL search itself drifted. A fresh mode with cube_depth 0
+must report "conflicts" equal to the same run's "baseline_conflicts": its
+one cube is scanned by config 0 first, and at budget 0 that single solve of
+the uncubed instance is the baseline's search.
 
 Usage: check_perf_smoke.py BASELINE.json FRESH.json [--tolerance 0.75]
                            [--max-rss-ratio 0.10]
@@ -174,6 +176,20 @@ def main():
                   f"the single-thread search is deterministic)")
             if fresh_conflicts != base_conflicts:
                 failed = True
+
+    # Exact-count gate: the depth-0 mode repeats the baseline's search.
+    fresh_section = fresh_doc.get("synthesis") or {}
+    for i, m in enumerate(fresh_section.get("modes", [])):
+        where = f"{args.fresh} synthesis modes[{i}]"
+        if need(m, "cube_depth", where) != 0:
+            continue
+        conflicts = need(m, "conflicts", where)
+        baseline = need(fresh_section, "baseline_conflicts", f"{args.fresh} synthesis")
+        verdict = "ok" if conflicts == baseline else "DRIFTED"
+        print(f"{verdict:9s}synthesis / {need(m, 'mode', where)}: {conflicts} conflicts "
+              f"(must equal this run's baseline_conflicts {baseline}: the same search)")
+        if conflicts != baseline:
+            failed = True
 
     return 1 if failed else 0
 

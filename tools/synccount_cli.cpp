@@ -28,8 +28,10 @@
 //                             [--cube-depth=d] [--jobs=N] [--budget=C]
 //                             [--no-prefilter] [--stats] [--save=FILE]
 //                             [--emit-cnf=FILE]  (parallel synthesis engine:
-//                             portfolio CDCL x cube-and-conquer; the result
-//                             is bit-identical for any --jobs)
+//                             one canonical scan per cube across --jobs
+//                             threads, falling back through K solver configs
+//                             on budget exhaustion; the result is
+//                             bit-identical for any --jobs)
 //   synccount_cli verify      [--load=file.table]  (default: embedded tables)
 //   synccount_cli consensus   --f=1 --values=8 --proposals=5,5,5,5 [--seed=S]
 //
@@ -57,6 +59,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <thread>
 
 #include "counting/algorithm_spec.hpp"
@@ -95,8 +98,9 @@ void usage(std::ostream& os) {
         "  synthesize  SAT-synthesize a table algorithm\n"
         "              --n --f --states --modulus --symmetry --min-time --max-time\n"
         "              --incremental --budget --dimacs --save\n"
-        "  synth       parallel synthesis: portfolio CDCL + cube-and-conquer +\n"
-        "              batch prefilter; deterministic result for any --jobs\n"
+        "  synth       parallel synthesis: 2^d cube scans across --jobs threads,\n"
+        "              each trying K solver configs in order until one resolves\n"
+        "              within --budget, + batch prefilter; deterministic for any --jobs\n"
         "              --n --f --states --modulus --symmetry --min-time --max-time\n"
         "              --portfolio=K --cube-depth=d --jobs=N --budget=C\n"
         "              --no-prefilter --stats --save=FILE --emit-cnf=FILE\n"
@@ -123,6 +127,21 @@ int reject_unknown(const util::Cli& cli, std::initializer_list<const char*> know
     return 2;
   }
   return 0;
+}
+
+// Writes one output file through `write`. The stream is checked after open
+// and after close, so an unwritable path prints "cannot write PATH" and
+// returns false instead of reporting success.
+bool write_output(const std::string& path,
+                  const std::function<void(std::ostream&)>& write) {
+  std::ofstream out(path);
+  if (out.good()) {
+    write(out);
+    out.close();
+  }
+  if (out.good()) return true;
+  std::cerr << "cannot write " << path << "\n";
+  return false;
 }
 
 // Defined with the sweep machinery below: `plan --emit=SPEC.json` builds the
@@ -218,15 +237,17 @@ int cmd_run(const util::Cli& cli) {
 
   if (cli.has("trace")) {
     const std::string path = cli.get_string("trace", "trace.csv");
-    std::ofstream out(path);
-    out << "round";
-    for (auto id : res.correct_ids) out << ",node" << id;
-    out << "\n";
-    for (std::size_t r = 0; r < res.outputs.size(); ++r) {
-      out << r;
-      for (auto v : res.outputs[r]) out << ',' << v;
+    const bool written = write_output(path, [&res](std::ostream& out) {
+      out << "round";
+      for (auto id : res.correct_ids) out << ",node" << id;
       out << "\n";
-    }
+      for (std::size_t r = 0; r < res.outputs.size(); ++r) {
+        out << r;
+        for (auto v : res.outputs[r]) out << ',' << v;
+        out << "\n";
+      }
+    });
+    if (!written) return 1;
     std::cout << "trace:      " << path << " (" << res.outputs.size() << " rounds)\n";
   }
   return res.stabilised ? 0 : 1;
@@ -476,15 +497,7 @@ int cmd_plan_spec(const util::Cli& cli) {
   if (const int rc = build_sweep_grid(cli, grid)) return rc;
   if (const int rc = apply_sink_flags(cli, grid.spec)) return rc;
 
-  std::ofstream out(emit);
-  if (!out.good()) {
-    std::cerr << "cannot write " << emit << "\n";
-    return 1;
-  }
-  sim::write_spec_file(out, grid.spec);
-  out.close();
-  if (!out.good()) {
-    std::cerr << "error writing " << emit << "\n";
+  if (!write_output(emit, [&grid](std::ostream& out) { sim::write_spec_file(out, grid.spec); })) {
     return 1;
   }
 
@@ -677,6 +690,7 @@ int cmd_sweep(const util::Cli& cli, const std::string& exe,
     if (const int rc = apply_sink_flags(cli, grid.spec)) return rc;
   }
   const sim::ExperimentSpec& spec = grid.spec;
+  sim::check_margin(spec, *grid.algo);  // before any worker forks
   const bool resume = cli.get_bool("resume");
 
   // --progress on a --spec run attaches an extra in-process sink instead of
@@ -870,47 +884,57 @@ counting::Symmetry parse_symmetry(const std::string& s) {
   throw std::invalid_argument("unknown symmetry: " + s);
 }
 
-int cmd_synthesize(const util::Cli& cli) {
-  if (const int rc = reject_unknown(
-          cli, {"n", "f", "states", "modulus", "symmetry", "max-time", "min-time",
-                "incremental", "budget", "dimacs", "save"})) {
-    return rc;
-  }
+// `synthesize` (the serial drivers) and `synth` (the parallel engine) share
+// the spec and sweep flags, the CNF dump and the report.
+struct SynthesisFlags {
   synthesis::SynthesisSpec spec;
-  spec.n = static_cast<int>(cli.get_int("n", 4));
-  spec.f = static_cast<int>(cli.get_int("f", 1));
-  spec.num_states = cli.get_u64("states", 3);
-  spec.modulus = cli.get_u64("modulus", 2);
-  spec.symmetry = parse_symmetry(cli.get_string("symmetry", "cyclic"));
+  synthesis::SynthesisOptions sweep;
+};
 
-  if (cli.has("dimacs")) {
-    spec.max_time = static_cast<int>(cli.get_int("max-time", 8));
-    const synthesis::Encoder enc(spec);
-    const std::string path = cli.get_string("dimacs", "out.cnf");
-    std::ofstream out(path);
-    sat::write_dimacs(enc.cnf(), out);
-    std::cout << "wrote " << enc.size().variables << " vars / " << enc.size().clauses
-              << " clauses to " << path << "\n";
-    return 0;
+SynthesisFlags synthesis_flags(const util::Cli& cli) {
+  SynthesisFlags flags;
+  flags.spec.n = static_cast<int>(cli.get_int("n", 4));
+  flags.spec.f = static_cast<int>(cli.get_int("f", 1));
+  flags.spec.num_states = cli.get_u64("states", 3);
+  flags.spec.modulus = cli.get_u64("modulus", 2);
+  flags.spec.symmetry = parse_symmetry(cli.get_string("symmetry", "cyclic"));
+  flags.sweep.min_time = static_cast<int>(cli.get_int("min-time", 1));
+  flags.sweep.max_time = static_cast<int>(cli.get_int("max-time", 8));
+  flags.sweep.conflict_budget = cli.get_u64("budget", 100000);
+  return flags;
+}
+
+// Dumps the encoding at the sweep's max_time bound: the exact instance the
+// R = max_time attempt solves (the parallel engine's lower R values only add
+// the -rank_exceeds(R) assumption).
+int write_cnf(const SynthesisFlags& flags, const std::string& path) {
+  synthesis::SynthesisSpec spec = flags.spec;
+  spec.max_time = flags.sweep.max_time;
+  const synthesis::Encoder enc(spec);
+  if (!write_output(path, [&enc](std::ostream& out) { sat::write_dimacs(enc.cnf(), out); })) {
+    return 1;
   }
+  std::cout << "wrote " << enc.size().variables << " vars / " << enc.size().clauses
+            << " clauses to " << path << "\n";
+  return 0;
+}
 
-  synthesis::SynthesisOptions opt;
-  opt.min_time = static_cast<int>(cli.get_int("min-time", 1));
-  opt.max_time = static_cast<int>(cli.get_int("max-time", 8));
-  opt.conflict_budget = cli.get_u64("budget", 100000);
-  const auto out = cli.get_bool("incremental") ? synthesize_incremental(spec, opt)
-                                               : synthesize(spec, opt);
+// Prints the outcome (`where` adds to the found line) and saves the table
+// when --save is set; exits 1 when no table was found or saved.
+int report_synthesis(const util::Cli& cli, const synthesis::SynthesisOutcome& out,
+                     const std::string& where) {
   if (!out.found) {
     std::cout << (out.budget_exhausted ? "budget exhausted" : "UNSAT (optimality proof)")
               << " after " << out.total_conflicts << " conflicts\n";
     return 1;
   }
   std::cout << "found: certified worst-case stabilisation " << out.exact_time
-            << " rounds (admissible bound " << out.time_bound_used << ")\n";
+            << " rounds (admissible bound " << out.time_bound_used << where << ")\n";
   if (cli.has("save")) {
     const std::string path = cli.get_string("save", "counter.table");
-    std::ofstream file(path);
-    counting::write_table(out.table, file);
+    if (!write_output(path, [&out](std::ostream& os) { counting::write_table(out.table, os); })) {
+      return 1;
+    }
     std::cout << "saved to " << path << "\n";
   }
   std::cout << "g = {";
@@ -925,10 +949,25 @@ int cmd_synthesize(const util::Cli& cli) {
   return 0;
 }
 
-// The parallel synthesis engine (synthesis/portfolio.hpp): a K-config
-// portfolio racing 2^d cubes over a thread pool, with the empirical batch
-// prefilter ahead of the exact verifier. The printed table is bit-identical
-// for any --jobs value -- determinism is part of the engine's contract.
+int cmd_synthesize(const util::Cli& cli) {
+  if (const int rc = reject_unknown(
+          cli, {"n", "f", "states", "modulus", "symmetry", "max-time", "min-time",
+                "incremental", "budget", "dimacs", "save"})) {
+    return rc;
+  }
+  const SynthesisFlags flags = synthesis_flags(cli);
+  if (cli.has("dimacs")) return write_cnf(flags, cli.get_string("dimacs", "out.cnf"));
+  return report_synthesis(cli,
+                          cli.get_bool("incremental")
+                              ? synthesize_incremental(flags.spec, flags.sweep)
+                              : synthesize(flags.spec, flags.sweep),
+                          "");
+}
+
+// The parallel synthesis engine (synthesis/portfolio.hpp): one canonical
+// scan per cube across a thread pool, with the empirical batch prefilter
+// ahead of the exact verifier. The printed table is bit-identical for any
+// --jobs value -- determinism is part of the engine's contract.
 int cmd_synth(const util::Cli& cli) {
   if (const int rc = reject_unknown(
           cli, {"n", "f", "states", "modulus", "symmetry", "min-time", "max-time",
@@ -936,69 +975,26 @@ int cmd_synth(const util::Cli& cli) {
                 "save", "emit-cnf"})) {
     return rc;
   }
-  synthesis::SynthesisSpec spec;
-  spec.n = static_cast<int>(cli.get_int("n", 4));
-  spec.f = static_cast<int>(cli.get_int("f", 1));
-  spec.num_states = cli.get_u64("states", 3);
-  spec.modulus = cli.get_u64("modulus", 2);
-  spec.symmetry = parse_symmetry(cli.get_string("symmetry", "cyclic"));
+  const SynthesisFlags flags = synthesis_flags(cli);
+  if (cli.has("emit-cnf")) return write_cnf(flags, cli.get_string("emit-cnf", "out.cnf"));
 
   synthesis::ParallelOptions opt;
-  opt.base.min_time = static_cast<int>(cli.get_int("min-time", 1));
-  opt.base.max_time = static_cast<int>(cli.get_int("max-time", 8));
-  opt.base.conflict_budget = cli.get_u64("budget", 100000);
+  opt.base = flags.sweep;
   opt.portfolio = static_cast<int>(cli.get_int("portfolio", 4));
   opt.cube_depth = static_cast<int>(cli.get_int("cube-depth", 3));
   opt.threads = static_cast<int>(cli.get_int("jobs", 0));
   opt.prefilter = !cli.get_bool("no-prefilter", false);
-
-  if (cli.has("emit-cnf")) {
-    // Dump the encoding at the sweep's max_time bound: the emitted CNF is
-    // the exact instance the engine's R = max_time attempt solves (lower R
-    // values only add the -rank_exceeds(R) assumption).
-    spec.max_time = opt.base.max_time;
-    const synthesis::Encoder enc(spec);
-    const std::string path = cli.get_string("emit-cnf", "out.cnf");
-    std::ofstream out(path);
-    SC_CHECK(out.good(), "cannot write " + path);
-    sat::write_dimacs(enc.cnf(), out);
-    std::cout << "wrote " << enc.size().variables << " vars / " << enc.size().clauses
-              << " clauses to " << path << "\n";
-    return 0;
-  }
-
   synthesis::ParallelOutcomeInfo info;
-  const auto out = synthesize_portfolio(spec, opt, &info);
+  const auto out = synthesize_portfolio(flags.spec, opt, &info);
   if (cli.get_bool("stats", false)) std::cout << out.stats_string() << "\n";
   std::cout << "cubes: " << info.cubes_sat << " sat, " << info.cubes_unsat
             << " unsat, " << info.cubes_unknown << " unknown, "
             << info.cubes_cancelled << " cancelled; prefilter "
             << info.prefilter_rejections << "/" << info.prefilter_runs
             << " rejected\n";
-  if (!out.found) {
-    std::cout << (out.budget_exhausted ? "budget exhausted" : "UNSAT (optimality proof)")
-              << " after " << out.total_conflicts << " conflicts\n";
-    return 1;
-  }
-  std::cout << "found: certified worst-case stabilisation " << out.exact_time
-            << " rounds (admissible bound " << out.time_bound_used << ", cube "
-            << info.winning_cube << ", config " << info.winning_config << ")\n";
-  if (cli.has("save")) {
-    const std::string path = cli.get_string("save", "counter.table");
-    std::ofstream file(path);
-    counting::write_table(out.table, file);
-    std::cout << "saved to " << path << "\n";
-  }
-  std::cout << "g = {";
-  for (std::size_t i = 0; i < out.table.g.size(); ++i) {
-    std::cout << static_cast<int>(out.table.g[i]) << (i + 1 < out.table.g.size() ? "," : "");
-  }
-  std::cout << "}\nh = {";
-  for (std::size_t i = 0; i < out.table.h.size(); ++i) {
-    std::cout << static_cast<int>(out.table.h[i]) << (i + 1 < out.table.h.size() ? "," : "");
-  }
-  std::cout << "}\n";
-  return 0;
+  return report_synthesis(cli, out,
+                          ", cube " + std::to_string(info.winning_cube) + ", config " +
+                              std::to_string(info.winning_config));
 }
 
 int cmd_verify(const util::Cli& cli) {
