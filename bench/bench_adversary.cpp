@@ -6,7 +6,8 @@
 //
 // The whole ablation is ONE engine sweep: the adversary axis covers the
 // library strategies plus the construction-aware "leader-split" attack,
-// installed through the spec's adversary factory.
+// installed through the spec's adversary factory. Exits 1 when a cell
+// misses the bound.
 //
 // Usage: bench_adversary [--seeds=N] [--f=3] [--threads=N]
 #include <iostream>
@@ -61,6 +62,7 @@ int main(int argc, char** argv) {
 
   util::Table table({"adversary", "placement", "stabilised", "T measured mean (max)",
                      "within bound"});
+  int missed = 0;
   for (std::size_t a = 0; a < spec.adversaries.size(); ++a) {
     for (std::size_t p = 0; p < spec.placements.size(); ++p) {
       const auto m = result.aggregate(a, p);
@@ -68,6 +70,7 @@ int main(int argc, char** argv) {
                       m.stabilisation.max() <= static_cast<double>(*algo->stabilisation_bound());
       table.add_row({spec.adversaries[a], spec.placements[p].name, bench::fmt_rate(m),
                      bench::fmt_rounds(m), ok ? "yes" : "NO"});
+      missed += ok ? 0 : 1;
     }
   }
   table.print(std::cout);
@@ -77,5 +80,9 @@ int main(int argc, char** argv) {
             << "(" << result.cells.size() << " executions in "
             << util::fmt_double(result.wall_seconds, 2) << "s on "
             << harness.threads() << " threads)\n";
+  if (missed != 0) {
+    std::cout << "CHECK FAILED: " << missed << " cell(s) miss the bound\n";
+    return 1;
+  }
   return 0;
 }

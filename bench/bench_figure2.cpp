@@ -2,9 +2,12 @@
 // A(4,1) -> A(12,3) -> A(36,7) -- and actually run it: 36 nodes, 7 Byzantine
 // (including a fully faulty 12-node block, as drawn), measuring stabilisation
 // against the Theorem 1 bound and the state bits against the closed form.
+// Exits 1 when a placement misses the bound, or when the built tower's
+// bound or per-level state bits differ from the closed forms printed.
 //
 // Usage: bench_figure2 [--seeds=N] [--deep]
 #include <iostream>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "boosting/planner.hpp"
@@ -35,6 +38,17 @@ int main(int argc, char** argv) {
   const auto algo = boosting::build_plan(plan);
   std::cout << "\nTheorem 1 accounting: T(B) <= " << *algo->stabilisation_bound()
             << " rounds, S(B) = " << algo->state_bits() << " bits per node.\n\n";
+  int failed = 0;
+  const auto check = [&failed](bool ok, const std::string& what) {
+    if (!ok) {
+      std::cout << "CHECK FAILED: " << what << "\n";
+      ++failed;
+    }
+  };
+  // The trivial base stabilises at once, so T(B) is the sum of the level costs.
+  check(*algo->stabilisation_bound() == t_bound,
+        "T(B) = " + std::to_string(*algo->stabilisation_bound()) +
+            " differs from the sum of the level costs, " + std::to_string(t_bound));
 
   // Fault placements, in increasing nastiness (Figure 2 draws a fully faulty
   // block plus scattered faults); one declarative spec covers the whole
@@ -63,24 +77,38 @@ int main(int argc, char** argv) {
     table.add_row({spec.placements[p].name, std::to_string(m.runs), std::to_string(m.stabilised),
                    bench::fmt_rounds(m), util::fmt_u64(*algo->stabilisation_bound()),
                    ok ? "yes" : "NO"});
+    check(ok, "placement \"" + spec.placements[p].name + "\" misses the bound");
   }
   table.print(std::cout);
   std::cout << "\n(" << result.cells.size() << " executions in "
             << util::fmt_double(result.wall_seconds, 2) << "s on "
             << harness.threads() << " threads)\n";
 
+  // The built tower's state bits, bottom-up: base first, then each level.
+  std::vector<int> built_bits;
+  const counting::CountingAlgorithm* cur = algo.get();
+  while (const auto* b = dynamic_cast<const boosting::BoostedCounter*>(cur)) {
+    built_bits.insert(built_bits.begin(), b->state_bits());
+    cur = &b->inner();
+  }
+  built_bits.insert(built_bits.begin(), cur->state_bits());
+
   std::cout << "\nState-bit accounting per level (S(B) = S(A) + ceil(log(C+1)) + 1):\n";
   util::Table bits({"level", "algorithm", "state bits"});
   bits.add_row({"base", "trivial(" + std::to_string(plan.base_modulus) + ")",
                 std::to_string(util::ceil_log2(plan.base_modulus))});
   int acc = util::ceil_log2(plan.base_modulus);
+  std::vector<int> closed_bits = {acc};
   int level = 1;
   for (const auto& lv : plan.levels) {
     acc += util::ceil_log2(lv.C + 1) + 1;
+    closed_bits.push_back(acc);
     bits.add_row({std::to_string(level++), "boost(k=" + std::to_string(lv.k) + ",F=" +
                                                std::to_string(lv.F) + ",C=" + std::to_string(lv.C) + ")",
                   std::to_string(acc)});
   }
   bits.print(std::cout);
-  return 0;
+  check(built_bits == closed_bits, "the built tower's per-level state bits differ from the "
+                                   "closed form");
+  return failed == 0 ? 0 : 1;
 }

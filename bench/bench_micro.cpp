@@ -5,13 +5,16 @@
 // propagation.
 //
 // `bench_micro --json [path]` skips google-benchmark and runs the perf-smoke
-// comparison of the execution backends on the Table 1 instance, writing
-// BENCH_batch.json (ns per node-round, scalar vs batched, per adversary) so
-// CI records the perf trajectory.
+// comparison of the execution backends on the Table 1 instance and two
+// composed towers, writing BENCH_batch.json (per adversary: median ns per
+// node-round of each backend, and the median and quartiles of the per-pair
+// scalar / batched ratio over interleaved pairs) so CI records the perf
+// trajectory.
 #include <benchmark/benchmark.h>
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -19,6 +22,7 @@
 #include <functional>
 #include <iostream>
 #include <sstream>
+#include <vector>
 
 #include "boosting/planner.hpp"
 #include "sim/engine.hpp"
@@ -340,18 +344,55 @@ long probe_rss_child(const std::string& exe, const std::string& mode, std::size_
 
 // --- Perf smoke (--json): records the backend trajectory for CI -------------
 
-double seconds_of(const std::function<void()>& fn, int reps) {
-  // One warm-up, then the best of `reps` timed passes (robust to CI noise).
+double seconds_of(const std::function<void()>& fn) {
+  const auto t0 = std::chrono::steady_clock::now();
   fn();
-  double best = 1e100;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    best = std::min(best, std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count());
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+// The q-quantile of `v` (0 <= q <= 1), interpolating between order
+// statistics.
+double quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
+
+// One cell measured in interleaved pairs: after one warm-up pass of each
+// side, kPairs pairs of one scalar and one batched pass, alternating which
+// side runs first. A slow phase of the host then hits both passes of a
+// pair, so the per-pair ratio stays put where a best-of-N per side drifts.
+struct PairedTiming {
+  static constexpr int kPairs = 7;
+  double scalar_s = 0;   // median scalar pass
+  double batch_s = 0;    // median batched pass
+  double speedup = 0;    // median per-pair scalar / batched ratio
+  double speedup_q1 = 0;
+  double speedup_q3 = 0;
+};
+
+PairedTiming time_pairs(const std::function<void()>& scalar, const std::function<void()>& batch) {
+  scalar();
+  batch();
+  std::vector<double> scalar_s, batch_s, ratio;
+  for (int p = 0; p < PairedTiming::kPairs; ++p) {
+    double s = 0;
+    double b = 0;
+    if (p % 2 == 0) {
+      s = seconds_of(scalar);
+      b = seconds_of(batch);
+    } else {
+      b = seconds_of(batch);
+      s = seconds_of(scalar);
+    }
+    scalar_s.push_back(s);
+    batch_s.push_back(b);
+    ratio.push_back(s / b);
   }
-  return best;
+  return {quantile(scalar_s, 0.5), quantile(batch_s, 0.5), quantile(ratio, 0.5),
+          quantile(ratio, 0.25), quantile(ratio, 0.75)};
 }
 
 struct SmokeInstance {
@@ -394,18 +435,18 @@ int run_json_smoke(const std::string& exe, const std::string& path) {
     for (const std::string& adversary : inst.adversaries) {
       const auto c = inst.make_case(adversary);
       const double nr = node_rounds(c);
-      const double scalar_s = seconds_of([&c] { run_scalar_case(c); }, 3);
-      const double batch_s =
-          seconds_of([&c] { run_batch_case(c, sim::BatchKernel::kAuto); }, 3);
-      const double scalar_ns = 1e9 * scalar_s / nr;
-      const double batch_ns = 1e9 * batch_s / nr;
+      const PairedTiming t = time_pairs([&c] { run_scalar_case(c); },
+                                        [&c] { run_batch_case(c, sim::BatchKernel::kAuto); });
+      const double scalar_ns = 1e9 * t.scalar_s / nr;
+      const double batch_ns = 1e9 * t.batch_s / nr;
       out << (first ? "" : ",") << "\n      {\"adversary\": \"" << adversary
           << "\", \"scalar_ns_per_node_round\": " << scalar_ns
-          << ", \"batch_ns_per_node_round\": " << batch_ns
-          << ", \"speedup\": " << scalar_ns / batch_ns << "}";
+          << ", \"batch_ns_per_node_round\": " << batch_ns << ", \"speedup\": " << t.speedup
+          << ", \"speedup_q1\": " << t.speedup_q1 << ", \"speedup_q3\": " << t.speedup_q3
+          << "}";
       std::cout << adversary << ": scalar " << scalar_ns << " ns/node-round, batched "
-                << batch_ns << " ns/node-round, speedup " << scalar_ns / batch_ns
-                << "x\n";
+                << batch_ns << " ns/node-round, speedup " << t.speedup << "x (IQR "
+                << t.speedup_q1 << "-" << t.speedup_q3 << ")\n";
       first = false;
     }
     out << "\n     ]}";

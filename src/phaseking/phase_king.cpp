@@ -1,7 +1,6 @@
 #include "phaseking/phase_king.hpp"
 
 #include <algorithm>
-#include <vector>
 
 #include "util/math.hpp"
 
@@ -21,19 +20,59 @@ namespace {
 // from min{C, ∞}) wrap to (C+1) mod C deterministically.
 inline std::uint64_t increment(std::uint64_t a, std::uint64_t C) noexcept {
   if (a == kInfinity) return a;
-  return (a + 1) % C;
+  return a + 1 < C ? a + 1 : (a + 1) % C;
 }
 
-// Shared scratch for value counting: z[j] for j in [0, C] where index C
-// stands for ∞. Only entries touched this call are zeroed afterwards, so a
-// step costs O(N) regardless of C.
-thread_local std::vector<std::uint32_t> t_zbuf;
+// Phase 1's value buckets: a real value j < C is its own bucket; ∞ and every
+// value >= C share bucket C.
+inline std::uint64_t bucket_of(std::uint64_t a, std::uint64_t C) noexcept {
+  return a == kInfinity ? C : std::min(a, C);
+}
 
-inline std::size_t bucket_of(std::uint64_t a, std::uint64_t C) noexcept {
-  return static_cast<std::size_t>(a == kInfinity ? C : std::min(a, C));
+// Scratch for phase 1's counts z_j, sized to the received values.
+thread_local ValueTally t_tally;
+
+// Counts `received` into t_tally by bucket. Returns min{ j < C : 3 z_j >
+// threshold3 }, or ∞: a value only passes once it has been received, so
+// checking each value as it is counted finds them all.
+std::uint64_t tally_buckets(std::span<const std::uint64_t> received, std::uint64_t C,
+                            std::uint64_t threshold3) {
+  t_tally.reset(received.size());
+  std::uint64_t least = kInfinity;
+  for (const std::uint64_t a : received) {
+    const std::uint64_t j = bucket_of(a, C);
+    if (3 * static_cast<std::uint64_t>(t_tally.add(j)) > threshold3 && j < C) {
+      least = std::min(least, j);
+    }
+  }
+  return least;
 }
 
 }  // namespace
+
+Registers step_counted(const Params& p, int index, const Registers& own, std::uint64_t z_own,
+                       std::uint64_t least, std::uint64_t king_a, StepMode mode) {
+  SC_ASSERT(index >= 0 && index < p.tau());
+  const auto N = static_cast<std::uint64_t>(p.N);
+  const auto F = static_cast<std::uint64_t>(p.F);
+  Registers out = own;
+  switch (index % 3) {
+    case 0:  // I_{3ℓ}
+      if (z_own < N - F) out.a = kInfinity;
+      break;
+    case 1:  // I_{3ℓ+1}
+      out.d = z_own >= N - F;
+      out.a = least;
+      break;
+    default:  // I_{3ℓ+2}
+      // min{C, a[ℓ]}; ∞ -> C
+      if (own.a == kInfinity || !own.d) out.a = std::min<std::uint64_t>(p.C, king_a);
+      out.d = true;
+      break;
+  }
+  if (mode == StepMode::kCounting) return {increment(out.a, p.C), out.d};
+  return {out.a == kInfinity ? out.a : out.a % p.C, out.d};
+}
 
 Registers step(const Params& p, int index, NodeId v, const Registers& own,
                std::span<const std::uint64_t> received_a, StepMode mode) {
@@ -42,58 +81,22 @@ Registers step(const Params& p, int index, NodeId v, const Registers& own,
   SC_ASSERT(v >= 0 && v < p.N);
   (void)v;
 
-  const int king = index / 3;
-  const int phase = index % 3;
-  const auto N = static_cast<std::uint64_t>(p.N);
-  const auto F = static_cast<std::uint64_t>(p.F);
-  Registers out = own;
-  const auto advance = [&](std::uint64_t a) {
-    return mode == StepMode::kCounting ? increment(a, p.C)
-                                       : (a == kInfinity ? a : a % p.C);
-  };
-
-  switch (phase) {
-    case 0: {  // I_{3ℓ}
-      std::uint64_t same = 0;
-      for (std::uint64_t a : received_a) {
-        if (a == own.a) ++same;
-      }
-      if (same < N - F) out.a = kInfinity;
-      out.a = advance(out.a);
+  std::uint64_t z_own = 0;
+  std::uint64_t least = kInfinity;
+  std::uint64_t king_a = 0;
+  switch (index % 3) {
+    case 0:
+      for (const std::uint64_t a : received_a) z_own += a == own.a ? 1 : 0;
       break;
-    }
-    case 1: {  // I_{3ℓ+1}
-      if (t_zbuf.size() < p.C + 1) t_zbuf.resize(static_cast<std::size_t>(p.C) + 1, 0);
-      for (std::uint64_t a : received_a) ++t_zbuf[bucket_of(a, p.C)];
-
-      const std::uint64_t z_own = t_zbuf[bucket_of(own.a, p.C)];
-      out.d = z_own >= N - F;
-
-      // min{ j : z_j > F }: scan the received values themselves (a value can
-      // only exceed F occurrences if it was received), preferring the
-      // smallest real value; fall back to ∞.
-      std::uint64_t best = kInfinity;
-      for (std::uint64_t a : received_a) {
-        if (a == kInfinity || a >= p.C) continue;  // ∞ sorts last
-        if (t_zbuf[static_cast<std::size_t>(a)] > F && a < best) best = a;
-      }
-      out.a = best;
-
-      for (std::uint64_t a : received_a) t_zbuf[bucket_of(a, p.C)] = 0;
-      out.a = advance(out.a);
+    case 1:
+      least = tally_buckets(received_a, p.C, 3 * static_cast<std::uint64_t>(p.F));
+      z_own = t_tally.count(bucket_of(own.a, p.C));
       break;
-    }
-    default: {  // I_{3ℓ+2}
-      if (own.a == kInfinity || !own.d) {
-        const std::uint64_t king_a = received_a[static_cast<std::size_t>(king)];
-        out.a = std::min<std::uint64_t>(p.C, king_a);  // min{C, a[ℓ]}; ∞ -> C
-      }
-      out.d = true;
-      out.a = advance(out.a);
+    default:
+      king_a = received_a[static_cast<std::size_t>(index / 3)];
       break;
-    }
   }
-  return out;
+  return step_counted(p, index, own, z_own, least, king_a, mode);
 }
 
 Registers step_sampled(const Params& p, int index, const Registers& own,
@@ -115,20 +118,9 @@ Registers step_sampled(const Params& p, int index, const Registers& own,
       break;
     }
     case 1: {  // I_{3ℓ+1}, thresholds N-F -> 2/3·M and F+1 -> >1/3·M
-      if (t_zbuf.size() < p.C + 1) t_zbuf.resize(static_cast<std::size_t>(p.C) + 1, 0);
-      for (std::uint64_t a : sampled_a) ++t_zbuf[bucket_of(a, p.C)];
-
-      const std::uint64_t z_own = t_zbuf[bucket_of(own.a, p.C)];
+      out.a = tally_buckets(sampled_a, p.C, M);
+      const std::uint64_t z_own = t_tally.count(bucket_of(own.a, p.C));
       out.d = 3 * z_own >= 2 * M;
-
-      std::uint64_t best = kInfinity;
-      for (std::uint64_t a : sampled_a) {
-        if (a == kInfinity || a >= p.C) continue;
-        if (3 * t_zbuf[static_cast<std::size_t>(a)] > M && a < best) best = a;
-      }
-      out.a = best;
-
-      for (std::uint64_t a : sampled_a) t_zbuf[bucket_of(a, p.C)] = 0;
       if (out.a != kInfinity) out.a = (out.a + 1) % p.C;
       break;
     }
@@ -145,13 +137,5 @@ Registers step_sampled(const Params& p, int index, const Registers& own,
 }
 
 int a_bits(std::uint64_t C) noexcept { return util::ceil_log2(C + 1); }
-
-std::uint64_t encode_a(std::uint64_t a, std::uint64_t C) noexcept {
-  return a == kInfinity ? C : std::min(a, C);
-}
-
-std::uint64_t decode_a(std::uint64_t bits, std::uint64_t C) noexcept {
-  return bits >= C ? kInfinity : bits;
-}
 
 }  // namespace synccount::phaseking

@@ -22,9 +22,12 @@
 // Lemma 4 requires.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "util/check.hpp"
 
@@ -62,10 +65,68 @@ enum class StepMode { kCounting, kValue };
 // Executes instruction set I_{index} (index in [0, τ)) for node v, given the
 // a-registers received from all N nodes this round (entry u = a[u] as sent by
 // node u; entry v must be the node's own round-start a). Returns the new
-// registers. Pure function: no global state.
+// registers. O(N) time and scratch, whatever C is.
 Registers step(const Params& p, int index, NodeId v, const Registers& own,
                std::span<const std::uint64_t> received_a,
                StepMode mode = StepMode::kCounting);
+
+// Instruction set I_{index} given only what it reads from the received
+// a-registers:
+//   * z_own: phase 0, the entries equal to own.a; phase 1, the entries in
+//     own.a's bucket, where ∞ and every value >= C share one bucket;
+//   * least: phase 1, min{ j < C : z_j > F }, or ∞ if there is none;
+//   * king_a: phase 2, the king's entry.
+// A phase ignores the inputs it does not read. step() derives them from the
+// received vector; the composed batch runner (sim/composed_runner.hpp) reads
+// them off per-copy tallies.
+Registers step_counted(const Params& p, int index, const Registers& own, std::uint64_t z_own,
+                       std::uint64_t least, std::uint64_t king_a,
+                       StepMode mode = StepMode::kCounting);
+
+// Occurrence counts of up to n distinct 64-bit keys in O(n) space: an
+// open-addressing table with linear probing, at most half full. The phase
+// king counts received a-registers in one, so a step's scratch follows N
+// rather than C.
+class ValueTally {
+ public:
+  // Empties the table and sizes it for up to `n` distinct keys.
+  void reset(std::size_t n) {
+    const std::size_t cap = std::bit_ceil(std::max<std::size_t>(2, 2 * n));
+    if (keys_.size() < cap) {
+      keys_.resize(cap);
+      counts_.resize(cap);
+    }
+    std::fill_n(counts_.begin(), cap, 0);
+    mask_ = cap - 1;
+    shift_ = 64 - std::countr_zero(cap);
+  }
+
+  // Counts one more `key`; returns its count.
+  std::uint32_t add(std::uint64_t key) noexcept {
+    const std::size_t i = find(key);
+    keys_[i] = key;
+    return ++counts_[i];
+  }
+
+  // Takes back one add(key). Takes that run in reverse order of the adds
+  // they undo leave the table exactly as it was before those adds.
+  void undo(std::uint64_t key) noexcept { --counts_[find(key)]; }
+
+  std::uint32_t count(std::uint64_t key) const noexcept { return counts_[find(key)]; }
+
+ private:
+  // The slot holding `key`, or the empty slot (count 0) it would take.
+  std::size_t find(std::uint64_t key) const noexcept {
+    std::size_t i = static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
+    while (counts_[i] != 0 && keys_[i] != key) i = (i + 1) & mask_;
+    return i;
+  }
+
+  std::vector<std::uint64_t> keys_;
+  std::vector<std::uint32_t> counts_;  // 0 marks an empty slot
+  std::size_t mask_ = 0;
+  int shift_ = 63;
+};
 
 // Sampled variant for the pulling model (Section 5, Lemma 8): instead of all
 // N values the node inspects M uniformly sampled a-registers (a multiset,
@@ -79,7 +140,13 @@ Registers step_sampled(const Params& p, int index, const Registers& own,
 // ∞ is encoded as the value C; arbitrary (Byzantine) bit patterns decode by
 // clamping to [0, C], i.e. every pattern is a valid register value.
 int a_bits(std::uint64_t C) noexcept;
-std::uint64_t encode_a(std::uint64_t a, std::uint64_t C) noexcept;
-std::uint64_t decode_a(std::uint64_t bits, std::uint64_t C) noexcept;
+
+inline std::uint64_t encode_a(std::uint64_t a, std::uint64_t C) noexcept {
+  return a == kInfinity ? C : std::min(a, C);
+}
+
+inline std::uint64_t decode_a(std::uint64_t bits, std::uint64_t C) noexcept {
+  return bits >= C ? kInfinity : bits;
+}
 
 }  // namespace synccount::phaseking

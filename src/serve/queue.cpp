@@ -259,12 +259,20 @@ JobQueue::SubmitOutcome JobQueue::submit(const std::string& name, const Json& sp
   meta.set("version", Json::number(kJobVersion));
   meta.set("job", Json::string(name));
   meta.set("spec", job.spec);
+  // A new job starts with no done file: load_job reads a missing one as
+  // nothing recorded, and the first record creates it. A leftover one (no
+  // op removes jobs, so only a hand-edited state dir holds one) must not be
+  // replayed; the spec publish's directory fsync makes its removal durable.
+  for (const char* suffix : {".done.jsonl", ".cubes.jsonl"}) {
+    std::error_code ec;
+    fs::remove(dir_ + "/job-" + name + suffix, ec);
+    SC_CHECK(!ec, "cannot remove a stale done file of job \"" + name + "\": " + ec.message());
+  }
   sim::atomic_write_file(spec_path(name), sim::crc_frame(meta.dump()) + "\n",
                          "serve.job.spec");
   job.done_file = std::make_unique<sim::AtomicAppender>(done_path(job),
                                                         /*resume=*/false,
                                                         "serve.job.done");
-  job.done_file->commit();  // publish the (empty) done file now
 
   const std::uint64_t groups = job.groups;
   submit_order_.push_back(name);

@@ -22,6 +22,10 @@
 //                           "sat|unsat|unknown","config":C,"conflicts":N,
 //                           "decisions":N,"restarts":N[,"table":TEXT]}
 //
+// submit publishes the spec file only (one durable write). The done or
+// cubes file appears with the job's first record; until then a missing
+// file means nothing recorded. submit removes a leftover one first.
+//
 // Because sweep done lines are canonical partial-file group lines,
 // assembling a finished job's result is pure concatenation: header + done
 // lines sorted by group index, byte-identical to a single-process `sweep

@@ -168,9 +168,9 @@ class LookaheadAdversary final : public Adversary {
   //
   // One score is the next output of one sampled receiver. On towers that
   // TowerOracle::make accepts (boosted top level, no fresh-sampling level)
-  // it comes from the oracle: one majority read-off over tallies fixed for
-  // the round plus one phase-king step, O(f + k*m + tau + N) without
-  // allocation. Elsewhere it is algo.output(algo.transition(...)) on the
+  // it comes from the oracle: one read-off of the votes and the phase-king
+  // step over tallies fixed for the round, O(f + k) without allocation.
+  // Elsewhere it is algo.output(algo.transition(...)) on the
   // patched received view. Both give the same value and draw the same
   // randomness (none on the oracle's towers), so the search, and with it
   // every message(), is the same either way. Rounds without faulty nodes

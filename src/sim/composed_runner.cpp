@@ -5,7 +5,6 @@
 #include <bit>
 #include <optional>
 #include <span>
-#include <tuple>
 #include <utility>
 
 #include "boosting/boosted_counter.hpp"
@@ -109,22 +108,20 @@ std::optional<ComposedCompiledTable> compile_tower(const counting::CountingAlgor
   return cc;
 }
 
-// --- Field decode and vote read-off, shared by ComposedBlock and TowerOracle.
-// They run in the composed kernel's per-vote and per-decode loops, so they
-// are declared inline.
+// --- Field decode, shared by ComposedBlock and TowerOracle. It runs in the
+// composed kernel's per-decode loops, so it is declared inline.
 
 // Base state index of (canonical or raw) state `s`. Decoding a raw pattern
 // directly equals decoding canonicalize(s): the base index reduces modulo the
-// state count and the a register decodes by clamping (decode_registers),
-// exactly as the scalar construction's canonicalize does.
+// state count and the a register decodes by clamping (decode_a), exactly as
+// the scalar construction's canonicalize does.
 inline std::uint64_t decode_base(const ComposedBase& b, const State& s) {
   return s.get_bits(0, b.bits) % b.num_states;
 }
 
-// Level `lv`'s (a, d) phase-king registers of (canonical or raw) state `s`.
-inline phaseking::Registers decode_registers(const ComposedLevel& lv, const State& s) {
-  return {phaseking::decode_a(s.get_bits(lv.a_offset, lv.a_bits), lv.C),
-          s.get_bit(lv.a_offset + lv.a_bits)};
+// Level `lv`'s a register of (canonical or raw) state `s`.
+inline std::uint64_t decode_a(const ComposedLevel& lv, const State& s) {
+  return phaseking::decode_a(s.get_bits(lv.a_offset, lv.a_bits), lv.C);
 }
 
 // Output of a boosted or pulling level whose a register holds `a`.
@@ -136,61 +133,12 @@ inline std::uint64_t base_output(const ComposedBase& b, NodeId u, std::uint64_t 
   return b.table->out(u % b.n, static_cast<std::uint8_t>(idx));
 }
 
-// Where a sender's leader pointer b and round counter r are counted at a
-// boosted level: the first count of its block's tally row (m leader-pointer
-// counts, then tau round-counter counts) and the divisor tau * (2m)^blk that
-// extracts b from its inner output.
-struct TallyRow {
-  std::size_t row = 0;
-  std::uint64_t div = 1;
-};
-
-// Global sender u's tally row at boosted level `lv`, whose first block row
-// starts at `offset`; copy c's block blk is the level's global block c*k+blk.
-TallyRow tally_row(const ComposedLevel& lv, std::size_t offset, NodeId u) {
-  const int g = u / lv.n_inner;
-  return {offset + static_cast<std::size_t>(g) * static_cast<std::size_t>(lv.m + lv.tau),
-          static_cast<std::uint64_t>(lv.tau) * lv.pow2m[static_cast<std::size_t>(g % lv.k)]};
-}
-
-// Tally indices of the leader pointer b and round counter r of a sender with
-// row `t` and inner output `o` (BoostedCounter::block_view). block_view first
-// reduces the output modulo tau * (2m)^(blk+1); tau and m both divide that
-// modulus, so r = o mod tau and b = floor(o / (tau * (2m)^blk)) mod m.
-inline std::pair<std::size_t, std::size_t> tally_pos(const ComposedLevel& lv, const TallyRow& t,
-                                                     std::uint64_t o) {
-  const auto m = static_cast<std::size_t>(lv.m);
-  return {t.row + o / t.div % m, t.row + m + o % static_cast<std::uint64_t>(lv.tau)};
-}
-
-// The value in [0, bound) counted more than `threshold` times, or 0: the
-// strict majority of the counted values.
-inline std::uint64_t counted_majority(const std::uint32_t* counts, std::uint64_t bound,
-                                      std::size_t threshold) {
-  for (std::uint64_t v = 0; v < bound; ++v) {
-    if (counts[v] > threshold) return v;
-  }
-  return 0;
-}
-
-// The votes (B, R) of one copy of boosted level `lv` (paper step 3), read off
-// the copy's per-block tallies; `rows` points at its block 0 row. Equal to
-// BoostedCounter::votes on the view the tallies count: every majority is
-// strict (more than half of the values), so at most one value can pass and
-// the counting order does not matter. `lead_cnt` holds m zero counts and is
-// left zeroed.
-inline std::pair<std::uint64_t, std::uint64_t> read_votes(const ComposedLevel& lv,
-                                                          const std::uint32_t* rows,
-                                                          std::uint32_t* lead_cnt) {
-  const auto m = static_cast<std::uint64_t>(lv.m);
-  const auto tau = static_cast<std::uint64_t>(lv.tau);
-  const auto half = static_cast<std::size_t>(lv.n_inner) / 2;
-  for (int blk = 0; blk < lv.k; ++blk) {
-    ++lead_cnt[counted_majority(rows + static_cast<std::size_t>(blk) * (m + tau), m, half)];
-  }
-  const std::uint64_t B = counted_majority(lead_cnt, m, static_cast<std::size_t>(lv.k) / 2);
-  std::fill_n(lead_cnt, m, 0);
-  return {B, counted_majority(rows + B * (m + tau) + m, tau, half)};
+// Output of the inner algorithm of level `lvl` at global node u in
+// (canonical or raw) state `s`: what block_view and the vote sampling read.
+inline std::uint64_t inner_output(const ComposedCompiledTable& cc, std::size_t lvl, NodeId u,
+                                  const State& s) {
+  return lvl == 0 ? base_output(cc.base, u, decode_base(cc.base, s))
+                  : register_output(decode_a(cc.levels[lvl - 1], s));
 }
 
 }  // namespace
@@ -202,6 +150,140 @@ std::shared_ptr<const ComposedCompiledTable> ComposedCompiledTable::compile(
   if (!cc) return nullptr;
   cc->algo = algo;
   return std::make_shared<const ComposedCompiledTable>(std::move(*cc));
+}
+
+CopyTally::CopyTally(const ComposedLevel& lv)
+    : pk_(lv.pk),
+      n_inner_(lv.n_inner),
+      k_(lv.k),
+      m_(static_cast<std::uint64_t>(lv.m)),
+      row_(static_cast<std::size_t>(lv.m + lv.tau)),
+      m_div_(m_),
+      tau_div_(static_cast<std::uint64_t>(lv.tau)) {
+  SC_REQUIRE(lv.kind == ComposedLevel::Kind::kBoosted, "copy tallies serve boosted levels");
+  // block_view reduces the inner output modulo tau * (2m)^(blk+1) first;
+  // tau and m both divide that modulus, so r = o mod tau and
+  // b = floor(o / (tau * (2m)^blk)) mod m.
+  for (int blk = 0; blk < k_; ++blk) {
+    div_.emplace_back(static_cast<std::uint64_t>(lv.tau) * lv.pow2m[static_cast<std::size_t>(blk)]);
+  }
+  const auto kk = static_cast<std::size_t>(k_);
+  cnt_.assign(kk * row_, 0);
+  maj_b_.assign(kk, kNone);
+  maj_r_.assign(kk, kNone);
+  a_.assign(static_cast<std::size_t>(lv.n), 0);
+  for (int u = 0; u < lv.n; ++u) block_of_.push_back(u / n_inner_);
+  lead_.assign(kk, 0);
+  lead_cnt_.assign(static_cast<std::size_t>(m_), 0);
+  picked_.assign(static_cast<std::size_t>(lv.n), 0);
+  clear();
+}
+
+void CopyTally::clear() {
+  std::fill(cnt_.begin(), cnt_.end(), 0);
+  std::fill(maj_b_.begin(), maj_b_.end(), kNone);
+  std::fill(maj_r_.begin(), maj_r_.end(), kNone);
+  a_cnt_.reset(a_.size());
+  least_ = kInfinity;
+}
+
+void CopyTally::add(const Sender& s) {
+  SC_ASSERT(s.a < pk_.C || s.a == kInfinity);
+  const auto half = static_cast<std::uint32_t>(n_inner_ / 2);
+  const auto blk = static_cast<std::size_t>(s.block);
+  const std::uint64_t b = leader_of(s);
+  const std::uint64_t r = round_of(s);
+  std::uint32_t* counts = row(s.block);
+  if (++counts[b] > half) maj_b_[blk] = b;
+  if (++counts[m_ + r] > half) maj_r_[blk] = r;
+  if (a_cnt_.add(s.a) > static_cast<std::uint32_t>(pk_.F) && s.a < pk_.C) {
+    least_ = std::min(least_, s.a);
+  }
+  a_[static_cast<std::size_t>(s.node)] = s.a;
+}
+
+template <class Pick, class Found>
+void CopyTally::patched_majorities(std::span<const Sender> faulty, std::size_t first, Pick pick,
+                                   Found found) {
+  const auto half = static_cast<std::uint32_t>(n_inner_ / 2);
+  for (std::size_t i = 0; i < faulty.size(); ++i) {
+    picked_[i] = pick(faulty[i]);
+    if (picked_[i] != kNone) ++row(faulty[i].block)[first + picked_[i]];
+  }
+  for (std::size_t i = 0; i < faulty.size(); ++i) {
+    if (picked_[i] != kNone && row(faulty[i].block)[first + picked_[i]] > half) {
+      found(faulty[i], picked_[i]);
+    }
+  }
+  for (std::size_t i = 0; i < faulty.size(); ++i) {
+    if (picked_[i] != kNone) --row(faulty[i].block)[first + picked_[i]];
+  }
+}
+
+CopyTally::Read CopyTally::read(std::span<const Sender> faulty) {
+  // b^{i'} per block: the correct senders' majority stands. In a block
+  // without one only a leader pointer that a faulty sender carries can win,
+  // so only those senders' pointers are computed.
+  std::copy(maj_b_.begin(), maj_b_.end(), lead_.begin());
+  patched_majorities(
+      faulty, 0,
+      [this](const Sender& s) {
+        return maj_b_[static_cast<std::size_t>(s.block)] == kNone ? leader_of(s) : kNone;
+      },
+      [this](const Sender& s, std::uint64_t b) { lead_[static_cast<std::size_t>(s.block)] = b; });
+  Read rd;
+  for (std::uint64_t& lead : lead_) {
+    if (lead == kNone) lead = 0;  // no majority: strict_majority's fallback
+    if (++lead_cnt_[lead] > static_cast<std::uint32_t>(k_ / 2)) rd.B = lead;
+  }
+  std::fill(lead_cnt_.begin(), lead_cnt_.end(), 0);
+  // R: the majority of block B's round counters, found the same way.
+  rd.R = maj_r_[rd.B];
+  if (rd.R == kNone) {
+    rd.R = 0;
+    patched_majorities(
+        faulty, m_,
+        [this, &rd](const Sender& s) {
+          return static_cast<std::uint64_t>(s.block) == rd.B ? round_of(s) : kNone;
+        },
+        [&rd](const Sender&, std::uint64_t r) { rd.R = r; });
+  }
+
+  switch (rd.R % 3) {
+    case 1: {  // min{ j < C : z_j > F } over the correct and faulty a's
+      rd.shared = least_;
+      for (const Sender& s : faulty) {
+        if (a_cnt_.add(s.a) > static_cast<std::uint32_t>(pk_.F) && s.a < pk_.C) {
+          rd.shared = std::min(rd.shared, s.a);
+        }
+      }
+      for (auto it = faulty.rbegin(); it != faulty.rend(); ++it) a_cnt_.undo(it->a);
+      break;
+    }
+    case 2: {  // the king's entry as this view receives it
+      const auto king = static_cast<int>(rd.R / 3);
+      rd.shared = a_[static_cast<std::size_t>(king)];
+      for (const Sender& s : faulty) {
+        if (s.node == king) rd.shared = s.a;
+      }
+      break;
+    }
+    default:
+      break;
+  }
+  return rd;
+}
+
+phaseking::Registers CopyTally::step(const Read& rd, const phaseking::Registers& own,
+                                     std::span<const Sender> faulty) const {
+  // Phases 0 and 1 count own.a among the received entries; with every value
+  // in [0, C) or ∞, its bucket holds exactly the entries equal to it.
+  std::uint64_t z_own = 0;
+  if (rd.R % 3 != 2) {
+    z_own = a_cnt_.count(own.a);
+    for (const Sender& s : faulty) z_own += s.a == own.a ? 1 : 0;
+  }
+  return phaseking::step_counted(pk_, static_cast<int>(rd.R), own, z_own, rd.shared, rd.shared);
 }
 
 namespace {
@@ -219,25 +301,26 @@ namespace {
 //  * Profiled (the default). Each forging lane calls Adversary::forge_block
 //    once per round, yielding a handful of receiver profiles plus a
 //    lane-invariant receiver-to-profile map. The round then splits into two
-//    passes: pass 1 does the per-lane summary / adversary work and decomposes
-//    the forged profiles, an optional cross-lane bit-sliced base transition
-//    runs in between (table bases with num_states <= 4 keep a second,
-//    bitplane copy of the base field, so one DFS over the compiled table
-//    advances all 64 lanes), and pass 2 applies each receiver's profile to
-//    the received view and runs the vote / phase-king glue, with votes cached
-//    per (level copy, profile) -- copies without faulty senders collapse to
-//    one profile-independent entry. Valid whenever hoisting every adversary
-//    query before the transitions preserves the lane's rng draw sequence:
-//    always for faultless lanes and receiver-oblivious adversaries (the
-//    scalar runner hoists those itself), and otherwise when the adversary's
-//    message() is draw-free or the tower has no fresh-sampling pulling level.
+//    passes: pass 1 does the per-lane summary / adversary work, an optional
+//    cross-lane bit-sliced base transition runs in between (table bases
+//    with num_states <= 4 keep a second, bitplane copy of the base field, so
+//    one DFS over the compiled table advances all 64 lanes), and pass 2
+//    runs each receiver's transition against its profile, with each boosted
+//    level copy read once per (copy, profile) -- copies without faulty
+//    senders collapse to one profile-independent read. Valid whenever
+//    hoisting every adversary query before the transitions preserves the
+//    lane's rng draw sequence: always for faultless lanes and
+//    receiver-oblivious adversaries (the scalar runner hoists those itself),
+//    and otherwise when the adversary's message() is draw-free or the tower
+//    has no fresh-sampling pulling level.
 //  * Interleaved (the remaining case: a receiver-dependent, drawing adversary
 //    under a fresh-sampling pulling tower). Forging and transitions alternate
-//    per receiver exactly like the scalar loop, and every receiver takes its
-//    own votes.
+//    per receiver exactly like the scalar loop, and each receiver's messages
+//    are its own profile.
 //
-// Both modes read boosted votes off the lane-round's correct-sender tallies
-// (tally_votes).
+// A receiver reads its correct senders straight from the master fields and
+// its faulty senders from the forged states of its profile (fsrc_). Both
+// modes read boosted levels off the lane-round's CopyTallies.
 class ComposedBlock {
  public:
   ComposedBlock(const BatchConfig& cfg, const ComposedCompiledTable& cc, const Placement& placement,
@@ -257,53 +340,33 @@ class ComposedBlock {
     base_.assign(nn * W_, 0);
     a_.assign(L_, std::vector<std::uint64_t>(nn * W_, 0));
     d_.assign(L_, std::vector<std::uint8_t>(nn * W_, 0));
-    rv_base_.assign(nn, 0);
-    rv_a_.assign(L_, std::vector<std::uint64_t>(nn, 0));
-    rv_d_.assign(L_, std::vector<std::uint8_t>(nn, 0));
-    rp_a_.assign(L_, nullptr);
-    rp_d_.assign(L_, nullptr);
     nb_base_.assign(nn, 0);
     nb_a_.assign(L_, std::vector<std::uint64_t>(nn, 0));
     nb_d_.assign(L_, std::vector<std::uint8_t>(nn, 0));
+    tallies_.resize(L_);
+    senders_.resize(L_);
     int max_k = 0;
     int max_m = 0;
-    int max_vote_m = 0;
-    std::size_t tally_size = 0;
     total_copies_ = 0;
-    tally_rows_.resize(L_);
     for (std::size_t lvl = 0; lvl < L_; ++lvl) {
       const ComposedLevel& lv = cc_.levels[lvl];
       max_k = std::max(max_k, lv.k);
       max_m = std::max(max_m, lv.sample_size);
-      max_vote_m = std::max(max_vote_m, lv.m);
       copy_base_.push_back(total_copies_);
       total_copies_ += static_cast<std::size_t>(lv.copies);
+      copy_of_.emplace_back(nn);
+      for (int u = 0; u < N_; ++u) copy_of_.back()[static_cast<std::size_t>(u)] = u / lv.n;
       // Faulty senders inside each copy of this level: the only received
-      // fields the copy's votes see that can differ across receivers.
+      // fields the copy's reads see that can differ across receivers.
+      // faulty_ids_ is sorted, so they form one range of it.
       for (int c = 0; c < lv.copies; ++c) {
-        std::vector<NodeId> in_copy;
-        for (const NodeId u : faulty_ids_) {
-          if (u >= c * lv.n && u < (c + 1) * lv.n) in_copy.push_back(u);
-        }
-        copy_faulty_.push_back(std::move(in_copy));
+        const auto lo = std::lower_bound(faulty_ids_.begin(), faulty_ids_.end(), c * lv.n);
+        const auto hi = std::lower_bound(lo, faulty_ids_.end(), (c + 1) * lv.n);
+        copy_faulty_.emplace_back(static_cast<std::size_t>(lo - faulty_ids_.begin()),
+                                  static_cast<std::size_t>(hi - faulty_ids_.begin()));
+        if (lv.kind == ComposedLevel::Kind::kBoosted) tallies_[lvl].emplace_back(lv);
       }
-      // Every block of a boosted level owns one tally row: m leader-pointer
-      // counts, then tau round-counter counts. Copy c's block blk is the
-      // level's global block c * k + blk.
-      if (lv.kind != ComposedLevel::Kind::kBoosted) continue;
-      tally_rows_[lvl].resize(nn);
-      for (int u = 0; u < N_; ++u) {
-        tally_rows_[lvl][static_cast<std::size_t>(u)] = tally_row(lv, tally_size, u);
-      }
-      tally_size +=
-          static_cast<std::size_t>(lv.copies * lv.k) * static_cast<std::size_t>(lv.m + lv.tau);
     }
-    vote_B_.assign(total_copies_, 0);
-    vote_R_.assign(total_copies_, 0);
-    vote_valid_.assign(total_copies_, 0);
-    tally_.assign(tally_size, 0);
-    patch_.assign(faulty_ids_.size(), {});
-    lead_cnt_.assign(static_cast<std::size_t>(max_vote_m), 0);
     leader_.assign(static_cast<std::size_t>(max_k), 0);
     const auto mm = static_cast<std::size_t>(max_m);
     sample_.assign(static_cast<std::size_t>(max_k) * mm, 0);
@@ -313,7 +376,7 @@ class ComposedBlock {
 
     for (std::size_t l = 0; l < W_; ++l) {
       const std::vector<State>& states = lanes_.states(l);
-      for (std::size_t i = 0; i < nn; ++i) decompose(states[i], l * nn + i, base_, a_, d_);
+      for (std::size_t i = 0; i < nn; ++i) decompose(states[i], l * nn + i);
     }
     bool tower_draws = false;
     for (const ComposedLevel& lv : cc_.levels) {
@@ -322,18 +385,14 @@ class ComposedBlock {
     const Adversary& probe = lanes_.probe();
     interleaved_ = !lanes_.faultless() && !probe.receiver_oblivious() &&
                    !probe.message_draw_free() && tower_draws;
-    // Transitions draw iff the tower has a fresh-sampling pulling level, so
-    // without one the profiled pass may group receivers by profile (one
-    // received-view rebuild per profile instead of per receiver) without
-    // disturbing any lane's draw sequence.
-    reorder_ok_ = !tower_draws;
     bs_base_ = cc_.base.kind == ComposedBase::Kind::kTable && cc_.base.num_states <= 4 &&
                !interleaved_;
+    if (interleaved_) iv_states_.resize(faulty_ids_.size());
 
-    // Profile state starts in the 1-profile shape shared by faultless lanes
-    // and receiver-oblivious adversaries; set_profiles regrows on demand.
+    // Profile state starts in the 1-profile shape shared by faultless lanes,
+    // receiver-oblivious adversaries and interleaved receivers; set_profiles
+    // regrows on demand.
     prof_node_.assign(nn, 0);
-    order_ = correct_;
     resize_profiles(1);
     if (bs_base_) {
       pb_.assign(nn, {});
@@ -401,7 +460,7 @@ class ComposedBlock {
       if (!observe_lane(l, round) || !forging) return;
       lanes_.forge_lane(*this, l, round, /*try_idx=*/false, first);
       if (first == &lanes_.forged(l)) set_profiles(*first);
-      decompose_lane_profiles(l);
+      if (bs_base_) forged_planes(l);
     });
   }
 
@@ -413,26 +472,18 @@ class ComposedBlock {
     // correct node advances every lane's base field at once.
     if (bs_base_) base_transition_bit_sliced();
 
-    // Pass 2: received views, votes, phase-king glue, commit. A plain loop
-    // rather than Lanes::for_each_active: behind that lambda GCC keeps
+    // Pass 2: tallies, reads, phase-king glue, commit. A plain loop rather
+    // than Lanes::for_each_active: behind that lambda GCC keeps
     // transition_node out of line, and tower_sweep measured slower.
+    const std::size_t nf = faulty_ids_.size();
     for (std::uint64_t msk = lanes_.active()[0]; msk != 0; msk &= msk - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(msk));
-      load_received(l);
-      tally_correct_senders();
-      std::fill(vote_valid_.begin(), vote_valid_.end(), 0);
-      if (lanes_.faultless()) {
-        for (const NodeId v : correct_) transition_node(l, v, 0, /*cached=*/true);
-      } else {
-        int cur = -1;
-        for (const NodeId v : order_) {
-          const int pv = nprof_ == 1 ? 0 : prof_node_[static_cast<std::size_t>(v)];
-          if (pv != cur) {
-            apply_profile(l, pv);
-            cur = pv;
-          }
-          transition_node(l, v, pv, /*cached=*/true);
-        }
+      tally_lane(l);
+      const State* forged = lanes_.faultless() ? nullptr : lanes_.forged(l).states.data();
+      for (const NodeId v : correct_) {
+        const int pv = nprof_ == 1 ? 0 : prof_node_[static_cast<std::size_t>(v)];
+        if (forged != nullptr) fsrc_ = forged + static_cast<std::size_t>(pv) * nf;
+        transition_node(l, v, pv);
       }
       commit(l);
     }
@@ -449,14 +500,15 @@ class ComposedBlock {
       // adversary's begin_round is a no-op.
       lanes_.refresh(*this, l);
       lanes_.begin_round(l, round);
-      load_received(l);
-      tally_correct_senders();
+      tally_lane(l);
+      fsrc_ = iv_states_.data();
       for (const NodeId v : correct_) {
         for (std::size_t k = 0; k < faulty_ids_.size(); ++k) {
-          forge_into(l, round, faulty_ids_[k], v, static_cast<std::size_t>(faulty_ids_[k]),
-                     rv_base_, rv_a_, rv_d_);
+          iv_states_[k] = lanes_.adversary(l).message(round, faulty_ids_[k], v, lanes_.states(l),
+                                                      algo_, lanes_.rng(l));
         }
-        transition_node(l, v, 0, /*cached=*/false);
+        std::fill(read_valid_.begin(), read_valid_.end(), 0);
+        transition_node(l, v, 0);
       }
       commit(l);
     });
@@ -464,16 +516,13 @@ class ComposedBlock {
 
   // --- Field <-> BitVec -----------------------------------------------------
 
-  // Writes the decomposed fields of (canonical or raw) state `s` into slot
-  // `idx` of the given field arrays (see decode_base for raw patterns).
-  void decompose(const State& s, std::size_t idx, std::vector<std::uint64_t>& base,
-                 std::vector<std::vector<std::uint64_t>>& a,
-                 std::vector<std::vector<std::uint8_t>>& d) const {
-    base[idx] = decode_base(cc_.base, s);
+  // Writes the decomposed fields of state `s` into master slot `idx`.
+  void decompose(const State& s, std::size_t idx) {
+    base_[idx] = decode_base(cc_.base, s);
     for (std::size_t lvl = 0; lvl < L_; ++lvl) {
-      const phaseking::Registers reg = decode_registers(cc_.levels[lvl], s);
-      a[lvl][idx] = reg.a;
-      d[lvl][idx] = reg.d ? 1 : 0;
+      const ComposedLevel& lv = cc_.levels[lvl];
+      a_[lvl][idx] = decode_a(lv, s);
+      d_[lvl][idx] = s.get_bit(lv.a_offset + lv.a_bits) ? 1 : 0;
     }
   }
 
@@ -491,18 +540,15 @@ class ComposedBlock {
 
   // --- Forged profiles ------------------------------------------------------
 
-  // Grows the per-(profile, faulty sender) storage to `nprof` profiles. The
-  // profile slot stride is S_ = nprof * |faulty|; per-lane decomposed fields
-  // live at [lane * S_ + slot] so one lane's profiles stay contiguous.
+  // Grows the per-profile storage to `nprof` profiles. The profile slot
+  // stride is S_ = nprof * |faulty|: a level's decoded senders and the
+  // forged base planes live at [profile * |faulty| + k].
   void resize_profiles(int nprof) {
     nprof_ = nprof;
     S_ = static_cast<std::size_t>(nprof_) * faulty_ids_.size();
-    pf_base_.assign(S_ * W_, 0);
-    pf_a_.assign(L_, std::vector<std::uint64_t>(S_ * W_, 0));
-    pf_d_.assign(L_, std::vector<std::uint8_t>(S_ * W_, 0));
-    vote_B_.assign(total_copies_ * static_cast<std::size_t>(nprof_), 0);
-    vote_R_.assign(total_copies_ * static_cast<std::size_t>(nprof_), 0);
-    vote_valid_.assign(total_copies_ * static_cast<std::size_t>(nprof_), 0);
+    for (std::vector<CopyTally::Sender>& s : senders_) s.assign(S_, {});
+    reads_.assign(total_copies_ * static_cast<std::size_t>(nprof_), {});
+    read_valid_.assign(total_copies_ * static_cast<std::size_t>(nprof_), 0);
     if (bs_base_) {
       fpb_.assign(S_, {});
       eqfb_.assign(S_, {});
@@ -510,8 +556,7 @@ class ComposedBlock {
   }
 
   // Establishes this round's profile geometry from the first forging lane's
-  // checked forged round: the profile count, the receiver-to-profile map,
-  // and (when reordering is draw-safe) the profile-grouped receiver order.
+  // checked forged round: the profile count and the receiver-to-profile map.
   void set_profiles(const ForgedRound& fr) {
     if (fr.num_profiles != nprof_) resize_profiles(fr.num_profiles);
     if (fr.profile_of.empty()) {
@@ -519,92 +564,15 @@ class ComposedBlock {
     } else {
       std::copy(fr.profile_of.begin(), fr.profile_of.end(), prof_node_.begin());
     }
-    if (reorder_ok_ && nprof_ > 1) {
-      // Counting sort of the correct receivers by profile: transitions are
-      // draw-free here, so grouping rebuilds the received view once per
-      // profile without changing any per-node result.
-      count_scratch_.assign(static_cast<std::size_t>(nprof_) + 1, 0);
-      for (const NodeId v : correct_) {
-        ++count_scratch_[static_cast<std::size_t>(prof_node_[static_cast<std::size_t>(v)]) + 1];
-      }
-      for (std::size_t p = 1; p < count_scratch_.size(); ++p) {
-        count_scratch_[p] += count_scratch_[p - 1];
-      }
-      for (const NodeId v : correct_) {
-        order_[count_scratch_[prof_node_[static_cast<std::size_t>(v)]]++] = v;
-      }
-    } else {
-      std::copy(correct_.begin(), correct_.end(), order_.begin());
-    }
   }
 
-  // Decomposes lane `lane`'s forged states into its profile field slots and,
-  // on the bit-sliced base path, scatters the base indices into the forged
-  // bitplanes. Persists across rounds, so static forgers pay this once.
-  void decompose_lane_profiles(std::size_t lane) {
+  // Scatters lane `lane`'s forged base indices into the forged bitplanes
+  // (bit-sliced base path). Persists across rounds, so static forgers pay
+  // this once.
+  void forged_planes(std::size_t lane) {
     const ForgedRound& fr = lanes_.forged(lane);
     for (std::size_t s = 0; s < S_; ++s) {
-      const std::size_t idx = lane * S_ + s;
-      decompose(fr.states[s], idx, pf_base_, pf_a_, pf_d_);
-      if (bs_base_) {
-        set_lane<1>(fpb_[s], lane, static_cast<std::uint8_t>(pf_base_[idx]));
-      }
-    }
-  }
-
-  // Overwrites the received view's faulty entries with profile `pv`'s fields.
-  void apply_profile(std::size_t lane, int pv) {
-    const std::size_t off = lane * S_ + static_cast<std::size_t>(pv) * faulty_ids_.size();
-    for (std::size_t k = 0; k < faulty_ids_.size(); ++k) {
-      const auto dst = static_cast<std::size_t>(faulty_ids_[k]);
-      rv_base_[dst] = pf_base_[off + k];
-      for (std::size_t lvl = 0; lvl < L_; ++lvl) {
-        rv_a_[lvl][dst] = pf_a_[lvl][off + k];
-        rv_d_[lvl][dst] = pf_d_[lvl][off + k];
-      }
-    }
-  }
-
-  // --- Adversary messages (interleaved mode) --------------------------------
-
-  // Queries the adversary for (sender -> receiver) and decomposes the raw
-  // answer into slot `idx` of the target field arrays.
-  void forge_into(std::size_t lane, std::uint64_t round, NodeId sender, NodeId receiver,
-                  std::size_t idx, std::vector<std::uint64_t>& base,
-                  std::vector<std::vector<std::uint64_t>>& a,
-                  std::vector<std::vector<std::uint8_t>>& d) {
-    const State raw = lanes_.adversary(lane).message(round, sender, receiver, lanes_.states(lane),
-                                                     algo_, lanes_.rng(lane));
-    decompose(raw, idx, base, a, d);
-  }
-
-  // Builds the received view of this lane: the master fields copied into the
-  // rv buffers, with the faulty entries overwritten afterwards (apply_profile
-  // in profiled mode, per-receiver forge_into in interleaved mode).
-  // Fault-free lanes deliver the round-start states verbatim, so the read
-  // pointers alias the master slice directly -- no copy, exactly like the
-  // scalar runner's faultless shortcut (the transitions write only to the
-  // nb_ buffers, so there is no aliasing hazard).
-  void load_received(std::size_t lane) {
-    const auto nn = static_cast<std::size_t>(N_);
-    const std::size_t off = lane * nn;
-    if (lanes_.faultless()) {
-      rp_base_ = base_.data() + off;
-      for (std::size_t lvl = 0; lvl < L_; ++lvl) {
-        rp_a_[lvl] = a_[lvl].data() + off;
-        rp_d_[lvl] = d_[lvl].data() + off;
-      }
-      return;
-    }
-    std::copy_n(base_.begin() + static_cast<std::ptrdiff_t>(off), nn, rv_base_.begin());
-    for (std::size_t lvl = 0; lvl < L_; ++lvl) {
-      std::copy_n(a_[lvl].begin() + static_cast<std::ptrdiff_t>(off), nn, rv_a_[lvl].begin());
-      std::copy_n(d_[lvl].begin() + static_cast<std::ptrdiff_t>(off), nn, rv_d_[lvl].begin());
-    }
-    rp_base_ = rv_base_.data();
-    for (std::size_t lvl = 0; lvl < L_; ++lvl) {
-      rp_a_[lvl] = rv_a_[lvl].data();
-      rp_d_[lvl] = rv_d_[lvl].data();
+      set_lane<1>(fpb_[s], lane, static_cast<std::uint8_t>(decode_base(cc_.base, fr.states[s])));
     }
   }
 
@@ -646,100 +614,82 @@ class ComposedBlock {
     }
   }
 
+  // --- Received fields ------------------------------------------------------
+  // Sender u as the current receiver gets it: the master field of lane
+  // `off / N` for a correct sender, the receiver's forged state otherwise.
+
+  std::uint64_t recv_base(std::size_t off, NodeId u) const {
+    const int k = faulty_index_[static_cast<std::size_t>(u)];
+    return k < 0 ? base_[off + static_cast<std::size_t>(u)]
+                 : decode_base(cc_.base, fsrc_[static_cast<std::size_t>(k)]);
+  }
+
+  std::uint64_t recv_a(std::size_t off, std::size_t lvl, NodeId u) const {
+    const int k = faulty_index_[static_cast<std::size_t>(u)];
+    return k < 0 ? a_[lvl][off + static_cast<std::size_t>(u)]
+                 : decode_a(cc_.levels[lvl], fsrc_[static_cast<std::size_t>(k)]);
+  }
+
+  // Output of the inner algorithm of level `lvl` at sender u (what
+  // block_view / the vote sampling read).
+  std::uint64_t recv_out(std::size_t off, std::size_t lvl, NodeId u) const {
+    return lvl == 0 ? base_output(cc_.base, u, recv_base(off, u))
+                    : register_output(recv_a(off, lvl - 1, u));
+  }
+
   // --- Level kernels --------------------------------------------------------
 
-  // Output of the inner algorithm of level `lvl` at global node u, read from
-  // the received view (exactly what block_view / the vote sampling read).
-  std::uint64_t inner_out(std::size_t lvl, NodeId u) const {
-    const auto uu = static_cast<std::size_t>(u);
-    return lvl == 0 ? base_output(cc_.base, u, rp_base_[uu]) : register_output(rp_a_[lvl - 1][uu]);
-  }
-
-  // Tally indices of sender u's leader pointer b and round counter r at
-  // boosted level `lvl`, read from the received view.
-  std::pair<std::size_t, std::size_t> sender_pos(std::size_t lvl, NodeId u) const {
-    return tally_pos(cc_.levels[lvl], tally_rows_[lvl][static_cast<std::size_t>(u)],
-                     inner_out(lvl, u));
-  }
-
-  // Per-block (b, r) counts of every boosted level copy over its correct
-  // senders. Correct senders read the master fields in every view, so one
-  // build right after load_received serves every receiver of the lane-round.
-  void tally_correct_senders() {
-    std::fill(tally_.begin(), tally_.end(), 0);
+  // Counts every boosted level copy's correct senders of lane `lane`, read
+  // from the master fields, and forgets the previous lane-round's reads.
+  void tally_lane(std::size_t lane) {
+    const std::size_t off = lane * static_cast<std::size_t>(N_);
     for (std::size_t lvl = 0; lvl < L_; ++lvl) {
-      if (cc_.levels[lvl].kind != ComposedLevel::Kind::kBoosted) continue;
+      std::vector<CopyTally>& tallies = tallies_[lvl];
+      if (tallies.empty()) continue;  // pulling level
+      for (CopyTally& t : tallies) t.clear();
+      const int n = cc_.levels[lvl].n;
       for (const NodeId u : correct_) {
-        const auto [ib, ir] = sender_pos(lvl, u);
-        ++tally_[ib];
-        ++tally_[ir];
+        const auto uu = static_cast<std::size_t>(u);
+        const int copy = copy_of_[lvl][uu];
+        CopyTally& t = tallies[static_cast<std::size_t>(copy)];
+        const std::uint64_t out = lvl == 0 ? base_output(cc_.base, u, base_[off + uu])
+                                           : register_output(a_[lvl - 1][off + uu]);
+        t.add(t.sender(u - copy * n, out, a_[lvl][off + uu]));
       }
     }
+    std::fill(read_valid_.begin(), read_valid_.end(), 0);
   }
 
-  // Majority votes of one copy of a boosted level (paper step 3), equal to
-  // BoostedCounter::votes on the received view: the copy's faulty senders as
-  // this view sees them are added to its correct-sender tallies, the
-  // majorities are read off the counts (read_votes), and the faulty senders
-  // are taken out again. `first` is the copy's first node; its tally row is
-  // the copy's block 0.
-  void tally_votes(std::size_t lvl, NodeId first, std::size_t slot, std::uint64_t& B,
-                   std::uint64_t& R) {
-    const std::vector<NodeId>& in_copy = copy_faulty_[slot];
-    for (std::size_t i = 0; i < in_copy.size(); ++i) {
-      patch_[i] = sender_pos(lvl, in_copy[i]);
-      ++tally_[patch_[i].first];
-      ++tally_[patch_[i].second];
-    }
-    std::tie(B, R) = read_votes(
-        cc_.levels[lvl], tally_.data() + tally_rows_[lvl][static_cast<std::size_t>(first)].row,
-        lead_cnt_.data());
-    for (std::size_t i = 0; i < in_copy.size(); ++i) {
-      --tally_[patch_[i].first];
-      --tally_[patch_[i].second];
-    }
-  }
-
-  // Profiled-mode vote lookup: direct-indexed per (level copy, profile).
-  // Copies without faulty senders read the same fields under every profile,
-  // so they collapse onto the profile-0 entry.
-  void boosted_votes_profiled(std::size_t lvl, NodeId first, std::size_t slot, int pv,
-                              std::uint64_t& B, std::uint64_t& R) {
-    const int p_eff = copy_faulty_[slot].empty() ? 0 : pv;
-    const std::size_t cidx =
-        slot * static_cast<std::size_t>(nprof_) + static_cast<std::size_t>(p_eff);
-    if (vote_valid_[cidx]) {
-      B = vote_B_[cidx];
-      R = vote_R_[cidx];
-      return;
-    }
-    tally_votes(lvl, first, slot, B, R);
-    vote_B_[cidx] = B;
-    vote_R_[cidx] = R;
-    vote_valid_[cidx] = 1;
-  }
-
-  // `cached`: look the votes up in the per-(copy, profile) cache (profiled
-  // mode) instead of taking them for this receiver alone (interleaved mode).
-  void boosted_step(std::size_t lvl, NodeId v, int pv, bool cached) {
+  // Votes + phase-king step of one boosted level (paper steps 3 and 4) for
+  // receiver v under profile pv. The copy's read is taken once per (copy,
+  // profile) and lane-round: on first use it decodes the copy's faulty
+  // senders from the profile's forged states and reads the tallies. Copies
+  // without faulty senders read the same fields under every profile, so
+  // they collapse onto the profile-0 entry.
+  void boosted_step(std::size_t lane, std::size_t lvl, NodeId v, int pv) {
     const ComposedLevel& lv = cc_.levels[lvl];
-    const int copy = v / lv.n;
-    const int v_local = v % lv.n;
+    const int copy = copy_of_[lvl][static_cast<std::size_t>(v)];
     const int first = copy * lv.n;
     const std::size_t slot = copy_base_[lvl] + static_cast<std::size_t>(copy);
-    std::uint64_t B;
-    std::uint64_t R;
-    if (cached) {
-      boosted_votes_profiled(lvl, first, slot, pv, B, R);
-    } else {
-      tally_votes(lvl, first, slot, B, R);
+    const auto [kb, ke] = copy_faulty_[slot];
+    const int p = kb == ke ? 0 : pv;
+    CopyTally& tally = tallies_[lvl][static_cast<std::size_t>(copy)];
+    CopyTally::Sender* faulty =
+        senders_[lvl].data() + static_cast<std::size_t>(p) * faulty_ids_.size() + kb;
+    const std::span<const CopyTally::Sender> view(faulty, ke - kb);
+    const std::size_t ridx = slot * static_cast<std::size_t>(nprof_) + static_cast<std::size_t>(p);
+    if (!read_valid_[ridx]) {
+      for (std::size_t k = kb; k < ke; ++k) {
+        const NodeId u = faulty_ids_[k];
+        const State& s = fsrc_[k];
+        faulty[k - kb] = tally.sender(u - first, inner_output(cc_, lvl, u, s), decode_a(lv, s));
+      }
+      reads_[ridx] = tally.read(view);
+      read_valid_[ridx] = 1;
     }
-    const std::span<const std::uint64_t> received_a(rp_a_[lvl] + first,
-                                                    static_cast<std::size_t>(lv.n));
-    const phaseking::Registers own{rp_a_[lvl][static_cast<std::size_t>(v)],
-                                   rp_d_[lvl][static_cast<std::size_t>(v)] != 0};
+    const auto vv = lane * static_cast<std::size_t>(N_) + static_cast<std::size_t>(v);
     const phaseking::Registers next =
-        phaseking::step(lv.pk, static_cast<int>(R), v_local, own, received_a);
+        tally.step(reads_[ridx], {a_[lvl][vv], d_[lvl][vv] != 0}, view);
     nb_a_[lvl][static_cast<std::size_t>(v)] = next.a;
     nb_d_[lvl][static_cast<std::size_t>(v)] = next.d ? 1 : 0;
   }
@@ -755,6 +705,7 @@ class ComposedBlock {
     const auto M = static_cast<std::size_t>(lv.sample_size);
     const auto tau = static_cast<std::uint64_t>(lv.tau);
     const auto m = static_cast<std::uint64_t>(lv.m);
+    const std::size_t off = lane * static_cast<std::size_t>(N_);
 
     util::Rng fixed_rng(util::hash_combine(lv.sampling_seed, static_cast<std::uint64_t>(v_local)));
     util::Rng& rng = lv.fixed_sampling ? fixed_rng : lanes_.rng(lane);
@@ -771,7 +722,7 @@ class ComposedBlock {
       const std::uint64_t cblk = tau * lv.pow2m[static_cast<std::size_t>(blk) + 1];
       for (std::size_t t = 0; t < M; ++t) {
         const int u = first + blk * lv.n_inner + static_cast<int>(sample[t]);
-        const std::uint64_t out = inner_out(lvl, u) % cblk;
+        const std::uint64_t out = recv_out(off, lvl, u) % cblk;
         const std::uint64_t y = out / tau;
         mvals_[t] = (y / lv.pow2m[static_cast<std::size_t>(blk)]) % m;
       }
@@ -788,7 +739,7 @@ class ComposedBlock {
       const std::uint64_t cblk = tau * lv.pow2m[static_cast<std::size_t>(B) + 1];
       for (std::size_t t = 0; t < M; ++t) {
         const int u = first + static_cast<int>(B) * lv.n_inner + static_cast<int>(sample[t]);
-        mvals_[t] = inner_out(lvl, u) % cblk % tau;
+        mvals_[t] = recv_out(off, lvl, u) % cblk % tau;
       }
     }
     const std::uint64_t R = pulling::sampled_majority(
@@ -796,15 +747,15 @@ class ComposedBlock {
 
     for (std::size_t t = 0; t < M; ++t) {
       const auto u = rng.next_below(static_cast<std::uint64_t>(lv.n));
-      sampled_a_[t] = rp_a_[lvl][static_cast<std::size_t>(first) + u];
+      sampled_a_[t] = recv_a(off, lvl, first + static_cast<int>(u));
     }
     pulled += M;
     const int king = static_cast<int>(R) / 3;
-    const std::uint64_t king_a = rp_a_[lvl][static_cast<std::size_t>(first + king)];
+    const std::uint64_t king_a = recv_a(off, lvl, first + king);
     pulled += 1;
 
-    const phaseking::Registers own{rp_a_[lvl][static_cast<std::size_t>(v)],
-                                   rp_d_[lvl][static_cast<std::size_t>(v)] != 0};
+    const auto vv = off + static_cast<std::size_t>(v);
+    const phaseking::Registers own{a_[lvl][vv], d_[lvl][vv] != 0};
     const phaseking::Registers next = phaseking::step_sampled(
         lv.pk, static_cast<int>(R), own,
         std::span<const std::uint64_t>(sampled_a_.data(), M), king_a);
@@ -812,21 +763,22 @@ class ComposedBlock {
     nb_d_[lvl][static_cast<std::size_t>(v)] = next.d ? 1 : 0;
   }
 
-  void transition_node(std::size_t lane, NodeId v, int pv, bool cached) {
+  void transition_node(std::size_t lane, NodeId v, int pv) {
     // Base kernel (step 1 of the construction, recursed to the bottom). On
     // the bit-sliced path the cross-lane pass already produced every lane's
     // next base index; extract this lane's bit pair.
     const auto vv = static_cast<std::size_t>(v);
+    const std::size_t off = lane * static_cast<std::size_t>(N_);
     if (bs_base_) {
       nb_base_[vv] = ((npb_[vv][0][0] >> lane) & 1) | (((npb_[vv][1][0] >> lane) & 1) << 1);
     } else if (cc_.base.kind == ComposedBase::Kind::kTrivial) {
-      nb_base_[vv] = (rp_base_[vv] + 1) % cc_.base.num_states;
+      const std::uint64_t next = base_[off + vv] + 1;  // base indices lie below num_states
+      nb_base_[vv] = next == cc_.base.num_states ? 0 : next;
     } else {
       const int n0 = cc_.base.n;
       const int first = (v / n0) * n0;
       for (int s = 0; s < n0; ++s) {
-        base_idx_[static_cast<std::size_t>(s)] =
-            static_cast<std::uint8_t>(rp_base_[static_cast<std::size_t>(first + s)]);
+        base_idx_[static_cast<std::size_t>(s)] = static_cast<std::uint8_t>(recv_base(off, first + s));
       }
       nb_base_[vv] = cc_.base.table->next(v % n0, base_idx_.data());
     }
@@ -836,7 +788,7 @@ class ComposedBlock {
     std::uint64_t pulled = 0;
     for (std::size_t lvl = 0; lvl < L_; ++lvl) {
       if (cc_.levels[lvl].kind == ComposedLevel::Kind::kBoosted) {
-        boosted_step(lvl, v, pv, cached);
+        boosted_step(lane, lvl, v, pv);
       } else {
         pulling_step(lane, lvl, v, pulled);
       }
@@ -866,7 +818,6 @@ class ComposedBlock {
   const std::vector<NodeId>& faulty_ids_;
   const std::vector<int>& faulty_index_;  // [node] -> -1 correct, else index into faulty_ids_
   bool interleaved_ = false;
-  bool reorder_ok_ = false;
   bool bs_base_ = false;
 
   // Master field representation, [lane * N + node].
@@ -874,50 +825,35 @@ class ComposedBlock {
   std::vector<std::vector<std::uint64_t>> a_;  // [level][lane * N + node]
   std::vector<std::vector<std::uint8_t>> d_;
 
-  // Received view of the lane/receiver currently being advanced, [node]:
-  // reads go through the rp_ pointers, which alias the master slice on
-  // fault-free runs and the rv_ copy-with-forgeries buffers otherwise.
-  std::vector<std::uint64_t> rv_base_;
-  std::vector<std::vector<std::uint64_t>> rv_a_;
-  std::vector<std::vector<std::uint8_t>> rv_d_;
-  const std::uint64_t* rp_base_ = nullptr;
-  std::vector<const std::uint64_t*> rp_a_;
-  std::vector<const std::uint8_t*> rp_d_;
-
   // Next-state fields of the lane currently being advanced, [node].
   std::vector<std::uint64_t> nb_base_;
   std::vector<std::vector<std::uint64_t>> nb_a_;
   std::vector<std::vector<std::uint8_t>> nb_d_;
 
-  // Forged profiles (profiled mode). pf_* are the decomposed per-lane
-  // profile fields, [lane * S_ + profile * |faulty| + k]; prof_node_ maps
-  // receivers to profiles and order_ is the (possibly profile-grouped)
-  // receiver order.
+  // Forged profiles. fsrc_ points at the current receiver's forged states,
+  // [k] for faulty_ids_[k]: its profile's row of the lane's ForgedRound, or
+  // iv_states_ in interleaved mode. prof_node_ maps receivers to profiles.
   int nprof_ = 1;
   std::size_t S_ = 0;  // profile slot stride: nprof_ * |faulty|
-  std::vector<std::uint64_t> pf_base_;
-  std::vector<std::vector<std::uint64_t>> pf_a_;
-  std::vector<std::vector<std::uint8_t>> pf_d_;
+  const State* fsrc_ = nullptr;
+  std::vector<State> iv_states_;
   std::vector<std::uint16_t> prof_node_;
-  std::vector<NodeId> order_;
-  std::vector<std::size_t> count_scratch_;
 
-  // Per-(level copy, profile) vote cache, valid within one profiled lane
-  // round; [slot * nprof_ + p_eff].
+  // Boosted level reads. A level copy is a slot: copy_base_[level] + copy.
+  // tallies_[level][copy] counts the copy's correct senders for the current
+  // lane-round (empty for pulling levels); copy_faulty_[slot] is the range
+  // of faulty_ids_ inside the copy. senders_[level][profile * |faulty| + k]
+  // holds faulty_ids_[k] as decoded for that profile, and reads_ the
+  // copy's read, both valid where read_valid_[slot * nprof_ + profile] is
+  // set in the current lane-round.
   std::size_t total_copies_ = 0;
-  std::vector<std::size_t> copy_base_;  // [level] -> first slot of its copies
-  std::vector<std::uint64_t> vote_B_, vote_R_;
-  std::vector<std::uint8_t> vote_valid_;
-
-  // Correct-sender vote tallies of the lane-round, one row per block of a
-  // boosted level: m leader-pointer counts, then tau round-counter counts.
-  // tally_rows_[level][u] is sender u's TallyRow. patch_ holds the tally
-  // indices of the faulty senders a vote adds, so it can take them out again.
-  std::vector<std::vector<NodeId>> copy_faulty_;  // [slot] -> faulty ids in the copy
-  std::vector<std::vector<TallyRow>> tally_rows_;
-  std::vector<std::uint32_t> tally_;
-  std::vector<std::pair<std::size_t, std::size_t>> patch_;
-  std::vector<std::uint32_t> lead_cnt_;  // block-leader counts for B, all zero between votes
+  std::vector<std::size_t> copy_base_;
+  std::vector<std::vector<int>> copy_of_;  // [level][node] its copy
+  std::vector<std::pair<std::size_t, std::size_t>> copy_faulty_;
+  std::vector<std::vector<CopyTally>> tallies_;
+  std::vector<std::vector<CopyTally::Sender>> senders_;
+  std::vector<CopyTally::Read> reads_;
+  std::vector<std::uint8_t> read_valid_;
 
   // Bit-sliced base planes (bs_base_ only): pb_ mirrors base_ as per-node
   // {bit0, bit1} lane bitplanes (committed in lockstep with the master),
@@ -927,7 +863,7 @@ class ComposedBlock {
   std::vector<EqPlanes<1>> eqcb_, eqfb_;
   std::vector<const EqPlanes<1>*> eqpb_;
 
-  // Vote / sampling scratch.
+  // Sampling scratch (pulling levels).
   std::vector<std::uint64_t> leader_, mvals_, sampled_a_, outs_;
   std::vector<std::uint32_t> sample_;
   std::vector<std::uint32_t> scratch_;
@@ -956,64 +892,40 @@ std::unique_ptr<TowerOracle> TowerOracle::make(const counting::CountingAlgorithm
   return std::unique_ptr<TowerOracle>(new TowerOracle(std::move(*cc)));
 }
 
-TowerOracle::TowerOracle(ComposedCompiledTable cc) : cc_(std::move(cc)) {
-  const ComposedLevel& top = cc_.levels.back();  // one copy of N nodes
-  tally_.assign(static_cast<std::size_t>(top.k) * static_cast<std::size_t>(top.m + top.tau), 0);
-  lead_cnt_.assign(static_cast<std::size_t>(top.m), 0);
+TowerOracle::TowerOracle(ComposedCompiledTable cc)
+    : cc_(std::move(cc)), tally_(cc_.levels.back()) {  // one top copy of N nodes
   a_.assign(static_cast<std::size_t>(cc_.N), 0);
   d_.assign(static_cast<std::size_t>(cc_.N), 0);
+  is_faulty_.assign(static_cast<std::size_t>(cc_.N), 0);
 }
 
-std::pair<std::size_t, std::size_t> TowerOracle::sender_pos(NodeId u, const State& s) const {
-  // The top level's inner output: the base's below a single level, else the
-  // a register of the level below.
-  const std::size_t L = cc_.levels.size();
-  const std::uint64_t o = L == 1 ? base_output(cc_.base, u, decode_base(cc_.base, s))
-                                 : register_output(decode_registers(cc_.levels[L - 2], s).a);
-  const ComposedLevel& top = cc_.levels.back();
-  return tally_pos(top, tally_row(top, 0, u), o);
+CopyTally::Sender TowerOracle::sender(NodeId u, const State& s) const {
+  const std::size_t top = cc_.levels.size() - 1;
+  return tally_.sender(u, inner_output(cc_, top, u, s), decode_a(cc_.levels[top], s));
 }
 
 void TowerOracle::begin_round(std::span<const State> states, std::span<const NodeId> faulty) {
   SC_CHECK(states.size() == a_.size(), "oracle round needs every node's state");
   const ComposedLevel& top = cc_.levels.back();
+  for (const NodeId u : faulty_) is_faulty_[static_cast<std::size_t>(u)] = 0;
   faulty_.assign(faulty.begin(), faulty.end());
-  patch_.resize(faulty_.size());
-  std::fill(tally_.begin(), tally_.end(), 0);
+  for (const NodeId u : faulty_) is_faulty_[static_cast<std::size_t>(u)] = 1;
+  senders_.resize(faulty_.size());
+  // Only correct senders are counted: each query patches in the faulty ones.
+  tally_.clear();
   for (int u = 0; u < cc_.N; ++u) {
     const auto uu = static_cast<std::size_t>(u);
-    const phaseking::Registers reg = decode_registers(top, states[uu]);
-    a_[uu] = reg.a;
-    d_[uu] = reg.d ? 1 : 0;
-    const auto [ib, ir] = sender_pos(u, states[uu]);
-    ++tally_[ib];
-    ++tally_[ir];
-  }
-  // Only correct senders stay counted: each query patches in the faulty ones.
-  for (const NodeId u : faulty_) {
-    const auto [ib, ir] = sender_pos(u, states[static_cast<std::size_t>(u)]);
-    --tally_[ib];
-    --tally_[ir];
+    a_[uu] = decode_a(top, states[uu]);
+    d_[uu] = states[uu].get_bit(top.a_offset + top.a_bits) ? 1 : 0;
+    if (is_faulty_[uu] == 0) tally_.add(sender(u, states[uu]));
   }
 }
 
 std::uint64_t TowerOracle::next_output(NodeId v, std::span<const State> msgs) {
   SC_ASSERT(msgs.size() == faulty_.size());
-  const ComposedLevel& top = cc_.levels.back();
-  for (std::size_t k = 0; k < faulty_.size(); ++k) {
-    a_[static_cast<std::size_t>(faulty_[k])] = decode_registers(top, msgs[k]).a;
-    patch_[k] = sender_pos(faulty_[k], msgs[k]);
-    ++tally_[patch_[k].first];
-    ++tally_[patch_[k].second];
-  }
-  const std::uint64_t R = read_votes(top, tally_.data(), lead_cnt_.data()).second;
-  for (const auto& [ib, ir] : patch_) {
-    --tally_[ib];
-    --tally_[ir];
-  }
+  for (std::size_t k = 0; k < faulty_.size(); ++k) senders_[k] = sender(faulty_[k], msgs[k]);
   const auto vv = static_cast<std::size_t>(v);
-  const phaseking::Registers own{a_[vv], d_[vv] != 0};
-  return register_output(phaseking::step(top.pk, static_cast<int>(R), v, own, a_).a);
+  return register_output(tally_.step(tally_.read(senders_), {a_[vv], d_[vv] != 0}, senders_).a);
 }
 
 }  // namespace synccount::sim

@@ -40,4 +40,26 @@ std::uint64_t ceil_div(std::uint64_t a, std::uint64_t b) noexcept;
 // Least common multiple with overflow check; throws on overflow.
 std::uint64_t lcm_checked(std::uint64_t a, std::uint64_t b);
 
+// Division by a divisor d > 0 fixed ahead of use. For a dividend and d below
+// 2^32, one 64x64->128-bit multiply by a precomputed reciprocal gives the
+// exact quotient (Lemire, Kaser and Kurz, "Faster remainder by direct
+// computation", 2019); other operands take the hardware divide.
+class Divisor {
+ public:
+  explicit Divisor(std::uint64_t d) noexcept
+      : d_(d), m_(d > 1 && d < (std::uint64_t{1} << 32) ? ~std::uint64_t{0} / d + 1 : 0) {}
+
+  std::uint64_t quot(std::uint64_t n) const noexcept {
+    if (m_ != 0 && n < (std::uint64_t{1} << 32)) {
+      return static_cast<std::uint64_t>((static_cast<unsigned __int128>(m_) * n) >> 64);
+    }
+    return n / d_;
+  }
+  std::uint64_t rem(std::uint64_t n) const noexcept { return n - quot(n) * d_; }
+
+ private:
+  std::uint64_t d_;
+  std::uint64_t m_;  // reciprocal, or 0 to take the hardware divide
+};
+
 }  // namespace synccount::util

@@ -17,6 +17,7 @@
 #include "sim/faults.hpp"
 #include "synthesis/known_tables.hpp"
 #include "towers.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -319,6 +320,118 @@ TEST(ComposedBatch, MixedPullingOverBoostedTowerMatchesScalar) {
       }
     }
   }
+}
+
+TEST(ComposedBatch, TowerN36AcrossFullLaneBlocksMatchesScalar) {
+  // The N = 36 tower over 65 seeds: one full 64-lane block plus one more,
+  // so each block's per-(copy, profile) reads serve many lanes. `spread`
+  // leaves some level copies without faulty senders; `blocks` fills whole
+  // blocks with them. `random` and `targeted-vote` forge one profile per
+  // receiver, `split` two. Lanes retire at different rounds.
+  const auto algo = practical(7);
+  const int n = algo->num_nodes();
+  const std::vector<std::pair<std::string, std::vector<bool>>> placements = {
+      {"spread", sim::faults_spread(n, 7)},
+      {"blocks", sim::faults_block_concentrated(3, n / 3, 3, 7)}};
+  std::vector<std::uint64_t> seeds(65);
+  for (std::size_t i = 0; i < seeds.size(); ++i) seeds[i] = 0xA000 + 7 * i;
+  for (const auto& adv : {"random", "targeted-vote", "split"}) {
+    for (const auto& [pname, faulty] : placements) {
+      RunOpts opt;
+      opt.faulty = faulty;
+      opt.max_rounds = 150;
+      opt.margin = 20;
+      opt.stop_after_stable = 20;
+      expect_differential(algo, adv, seeds, opt, std::string("practical(7)/") + adv + "/" + pname);
+    }
+  }
+}
+
+// --- CopyTally read-offs against the scalar construction ---------------------
+
+// A random received view of boosted counter `b`'s N nodes whose values
+// repeat often enough for majorities to form and fail: each block's nodes
+// copy one of two inner states, and a registers come from a three-value pool
+// that includes ∞.
+std::vector<sim::State> clustered_view(const boosting::BoostedCounter& b, util::Rng& rng) {
+  const int n = b.block_size();
+  const std::uint64_t pool[] = {rng.next_below(b.modulus()), rng.next_below(b.modulus()),
+                                phaseking::kInfinity};
+  std::vector<sim::State> view(static_cast<std::size_t>(b.num_nodes()));
+  for (int blk = 0; blk < b.k(); ++blk) {
+    const sim::State inner[] = {counting::arbitrary_state(b.inner(), rng),
+                                counting::arbitrary_state(b.inner(), rng)};
+    for (int j = 0; j < n; ++j) {
+      boosting::BoostedCounter::Decoded d;
+      d.inner = inner[rng.next_below(4) == 0 ? 1 : 0];
+      d.a = pool[rng.next_below(3)];
+      d.d = rng.next_below(2) == 1;
+      view[static_cast<std::size_t>(blk * n + j)] = b.encode(d);
+    }
+  }
+  return view;
+}
+
+// Checks CopyTally's votes and phase-king step for every correct node of
+// `algo`'s top level (one copy) against BoostedCounter::votes and
+// phaseking::step on random views, with the faulty set drawn per view:
+// none, scattered, or whole blocks.
+void expect_tally_matches_construction(const counting::AlgorithmPtr& algo, int views) {
+  const auto& b = dynamic_cast<const boosting::BoostedCounter&>(*algo);
+  const auto cc = sim::ComposedCompiledTable::compile(algo);
+  ASSERT_NE(cc, nullptr);
+  const sim::ComposedLevel& top = cc->levels.back();
+  const int N = b.num_nodes();
+  const int n = b.block_size();
+  const phaseking::Params pk{N, b.resilience(), b.modulus()};
+  sim::CopyTally tally(top);
+  util::Rng rng(0x7A11 + static_cast<std::uint64_t>(N));
+  for (int t = 0; t < views; ++t) {
+    const auto view = clustered_view(b, rng);
+    std::vector<bool> faulty(static_cast<std::size_t>(N), false);
+    const int shape = t % 3;
+    for (int u = 0; u < N; ++u) {
+      if (shape == 1) faulty[static_cast<std::size_t>(u)] = rng.next_below(4) == 0;
+      if (shape == 2) faulty[static_cast<std::size_t>(u)] = (u / n) % 2 == t % 2;  // whole blocks
+    }
+    std::vector<sim::CopyTally::Sender> senders;
+    std::vector<std::uint64_t> received_a;
+    tally.clear();
+    for (int u = 0; u < N; ++u) {
+      sim::State inner = view[static_cast<std::size_t>(u)];
+      inner.truncate(b.inner().state_bits());
+      const auto d = b.decode(view[static_cast<std::size_t>(u)]);
+      const auto s = tally.sender(u, b.inner().output(u % n, inner), d.a);
+      received_a.push_back(d.a);
+      if (faulty[static_cast<std::size_t>(u)]) {
+        senders.push_back(s);
+      } else {
+        tally.add(s);
+      }
+    }
+    const auto votes = b.votes(view);
+    const auto rd = tally.read(senders);
+    const std::string ctx = b.name() + "/view=" + std::to_string(t);
+    ASSERT_EQ(rd.B, votes.B) << ctx;
+    ASSERT_EQ(rd.R, votes.R) << ctx;
+    for (int v = 0; v < N; ++v) {
+      if (faulty[static_cast<std::size_t>(v)]) continue;
+      const auto d = b.decode(view[static_cast<std::size_t>(v)]);
+      const phaseking::Registers own{d.a, d.d};
+      EXPECT_EQ(tally.step(rd, own, senders),
+                phaseking::step(pk, static_cast<int>(votes.R), v, own, received_a))
+          << ctx << "/v=" << v;
+    }
+  }
+}
+
+TEST(CopyTally, ReadsEqualBoostedVotesAndPhaseKingStep) {
+  // Blocks of one node (practical(1): k = 4 over the trivial base), of a
+  // table base, and of lower boosted levels (N = 12 and N = 36 tops).
+  expect_tally_matches_construction(practical(1), 600);
+  expect_tally_matches_construction(boosted_over_table(), 600);
+  expect_tally_matches_construction(practical(2), 600);
+  expect_tally_matches_construction(practical(7), 600);
 }
 
 // --- Engine dispatch ---------------------------------------------------------

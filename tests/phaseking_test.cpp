@@ -136,6 +136,116 @@ TEST(PhaseKingStep, I2InfiniteKingGivesDeterministicValue) {
   EXPECT_TRUE(out.d);
 }
 
+// --- Counting scratch follows N, not C ----------------------------------------
+
+TEST(PhaseKingStep, I1CountsWithAHugeModulus) {
+  // C = 2^62: a counter indexed by value would need 2^62 + 1 entries.
+  const std::uint64_t C = std::uint64_t{1} << 62;
+  const Params p = params(4, 1, C);
+  const std::uint64_t inf = kInfinity;
+  const std::uint64_t recv[] = {C - 1, C - 1, C - 1, inf};
+  const Registers out = step(p, 1, 0, Registers{C - 1, false}, recv);
+  EXPECT_TRUE(out.d);
+  EXPECT_EQ(out.a, 0u);  // min{j : z_j > F} = C - 1, incremented mod C
+  // ∞ and a value >= C share one bucket: together they pass N - F.
+  const std::uint64_t recv2[] = {inf, C + 5, inf, 3};
+  const Registers out2 = step(p, 1, 0, Registers{inf, false}, recv2);
+  EXPECT_TRUE(out2.d);
+  EXPECT_EQ(out2.a, kInfinity);
+  const Registers out3 =
+      step_sampled(p, 1, Registers{C - 1, false}, std::span<const std::uint64_t>(recv), inf);
+  EXPECT_TRUE(out3.d);
+  EXPECT_EQ(out3.a, 0u);
+}
+
+// Brute-force reference for step / step_sampled: phase 1 counts each bucket
+// by a scan over every received value.
+std::uint64_t bucket(std::uint64_t a, std::uint64_t C) { return a == kInfinity ? C : std::min(a, C); }
+
+std::uint64_t bucket_count(std::span<const std::uint64_t> recv, std::uint64_t j, std::uint64_t C) {
+  std::uint64_t z = 0;
+  for (const std::uint64_t a : recv) z += bucket(a, C) == j ? 1 : 0;
+  return z;
+}
+
+// The smallest real value whose count passes `passes`, or ∞.
+template <class Passes>
+std::uint64_t least_passing(std::span<const std::uint64_t> recv, std::uint64_t C, Passes passes) {
+  std::uint64_t least = kInfinity;
+  for (const std::uint64_t a : recv) {
+    if (a < C && passes(bucket_count(recv, a, C))) least = std::min(least, a);
+  }
+  return least;
+}
+
+std::uint64_t inc(std::uint64_t a, std::uint64_t C) { return a == kInfinity ? a : (a + 1) % C; }
+
+Registers brute_step(const Params& p, int index, const Registers& own,
+                     std::span<const std::uint64_t> recv) {
+  const auto NF = static_cast<std::uint64_t>(p.N - p.F);
+  Registers out = own;
+  if (index % 3 == 0) {
+    std::uint64_t same = 0;
+    for (const std::uint64_t a : recv) same += a == own.a ? 1 : 0;
+    if (same < NF) out.a = kInfinity;
+  } else if (index % 3 == 1) {
+    out.d = bucket_count(recv, bucket(own.a, p.C), p.C) >= NF;
+    out.a = least_passing(recv, p.C, [&](std::uint64_t z) { return z > static_cast<std::uint64_t>(p.F); });
+  } else {
+    if (own.a == kInfinity || !own.d) out.a = std::min(p.C, recv[static_cast<std::size_t>(index / 3)]);
+    out.d = true;
+  }
+  out.a = inc(out.a, p.C);
+  return out;
+}
+
+Registers brute_step_sampled(const Params& p, int index, const Registers& own,
+                             std::span<const std::uint64_t> recv, std::uint64_t king_a) {
+  const std::uint64_t M = recv.size();
+  Registers out = own;
+  if (index % 3 == 0) {
+    std::uint64_t same = 0;
+    for (const std::uint64_t a : recv) same += a == own.a ? 1 : 0;
+    if (3 * same < 2 * M) out.a = kInfinity;
+  } else if (index % 3 == 1) {
+    out.d = 3 * bucket_count(recv, bucket(own.a, p.C), p.C) >= 2 * M;
+    out.a = least_passing(recv, p.C, [&](std::uint64_t z) { return 3 * z > M; });
+  } else {
+    if (own.a == kInfinity || !own.d) out.a = std::min(p.C, king_a);
+    out.d = true;
+  }
+  out.a = inc(out.a, p.C);
+  return out;
+}
+
+TEST(PhaseKingStep, MatchesBruteForceCountsForEveryModulus) {
+  synccount::util::Rng rng(0x5EED);
+  const std::uint64_t moduli[] = {2, 10, 1728, 81788928, std::uint64_t{1} << 62};
+  for (const std::uint64_t C : moduli) {
+    for (int t = 0; t < 400; ++t) {
+      const int F = static_cast<int>(rng.next_below(4));
+      const int N = 3 * F + 1 + static_cast<int>(rng.next_below(6));
+      const Params p = params(std::max(N, F + 2), F, C);
+      // A small pool, so that values repeat: real values, ∞, and values
+      // >= C that share ∞'s bucket in phase 1.
+      const std::uint64_t pool[] = {rng.next_below(C), rng.next_below(C), C - 1, kInfinity, C,
+                                    C + rng.next_below(1000)};
+      std::vector<std::uint64_t> recv(static_cast<std::size_t>(p.N));
+      for (auto& a : recv) a = pool[rng.next_below(rng.next_below(2) == 0 ? 3 : 6)];
+      const int v = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(p.N)));
+      const Registers own{recv[static_cast<std::size_t>(v)], rng.next_below(2) == 1};
+      const std::string ctx = "C=" + std::to_string(C) + "/t=" + std::to_string(t);
+      for (int index = 0; index < p.tau(); ++index) {
+        ASSERT_EQ(step(p, index, v, own, recv), brute_step(p, index, own, recv)) << ctx;
+        const std::uint64_t king_a = pool[rng.next_below(6)];
+        ASSERT_EQ(step_sampled(p, index, own, recv, king_a),
+                  brute_step_sampled(p, index, own, recv, king_a))
+            << ctx;
+      }
+    }
+  }
+}
+
 // --- Lemma 5: agreement persists under every instruction set ----------------
 
 TEST(PhaseKingLemma5, AgreementPersistsThroughAllInstructions) {

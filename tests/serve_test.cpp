@@ -458,6 +458,51 @@ TEST(JobQueue, PersistsAcrossReloadAndAssemblesByteIdenticalResults) {
   EXPECT_EQ(queue.results_text("job"), reference.str());
 }
 
+TEST(JobQueue, ReloadRightAfterSubmitLeasesEveryGroup) {
+  TempDir dir;
+  {
+    serve::JobQueue queue(dir.file("state"));
+    queue.submit("job", sim::experiment_spec_to_json(small_spec()));
+    // Submit publishes the spec alone; the done file comes with a record.
+    EXPECT_FALSE(std::filesystem::exists(dir.file("state/job-job.done.jsonl")));
+  }
+  serve::JobQueue queue(dir.file("state"));
+  const auto status = queue.status();
+  ASSERT_EQ(status.size(), 1u);
+  EXPECT_EQ(status[0].done, 0u);
+  EXPECT_EQ(queue.pending_groups(), 6u);
+  serve::JobQueue::Assignment a;
+  ASSERT_TRUE(queue.assign(6, [](const std::string&, std::uint64_t) { return false; }, a));
+  EXPECT_EQ(a.group_begin, 0u);
+  EXPECT_EQ(a.group_end, 6u);
+  complete_group(queue, small_spec(), 2);  // the first record creates the file
+  EXPECT_EQ(serve::JobQueue(dir.file("state")).status()[0].done, 1u);
+}
+
+TEST(JobQueue, StaleDoneFileIsNotReplayedAfterSubmit) {
+  TempDir dir;
+  const sim::ExperimentSpec spec = small_spec();
+  {
+    serve::JobQueue queue(dir.file("old"));
+    queue.submit("job", sim::experiment_spec_to_json(spec));
+    complete_group(queue, spec, 0);
+  }
+  // A state dir that holds a valid done file but no job spec.
+  std::filesystem::create_directories(dir.file("state"));
+  std::filesystem::copy_file(dir.file("old/job-job.done.jsonl"),
+                             dir.file("state/job-job.done.jsonl"));
+  {
+    serve::JobQueue queue(dir.file("state"));
+    EXPECT_TRUE(queue.status().empty());
+    EXPECT_FALSE(queue.submit("job", sim::experiment_spec_to_json(spec)).existed);
+    EXPECT_EQ(queue.status()[0].done, 0u);
+  }
+  serve::JobQueue queue(dir.file("state"));
+  ASSERT_EQ(queue.status().size(), 1u);
+  EXPECT_EQ(queue.status()[0].done, 0u);
+  EXPECT_EQ(queue.pending_groups(), 6u);
+}
+
 TEST(JobQueue, SketchSpecsRoundTripWithBoundedWire) {
   // A sketch-mode spec travels through submit -> assemble carrying KLL
   // sketch state instead of sample vectors, and the assembled results must

@@ -7,9 +7,11 @@ cell's batched-over-scalar speedup regressed by more than the tolerance
 (default: fresh speedup < 0.75x the baseline speedup).
 
 Speedup ratios are compared rather than absolute ns/node-round because CI
-machines differ in clock speed but scalar and batched backends scale
-together on a given host; a shrinking ratio means the batched kernels
-specifically got slower.
+machines differ in clock speed. bench_micro times each cell in interleaved
+pairs of one scalar and one batched pass and records the median per-pair
+ratio ("speedup") with its quartiles ("speedup_q1", "speedup_q3"): a slow
+phase of the host hits both passes of a pair, so a shrinking ratio means the
+batched kernels specifically got slower. A failing cell prints its IQR.
 
 Also gates the "aggregation" memory section: the sketch-mode fold of the
 synthetic million-cell sweep must peak below --max-rss-ratio (default 0.10)
@@ -63,14 +65,24 @@ def load(path):
 
 
 def cells(doc, path):
+    """(instance, adversary) -> the cell's result record, "speedup" checked."""
     out = {}
     for i, inst in enumerate(need(doc, "instances", path)):
         where = f"{path} instances[{i}]"
         name = need(inst, "instance", where)
         for j, r in enumerate(need(inst, "results", where)):
             rwhere = f"{where} ({name}) results[{j}]"
-            out[(name, need(r, "adversary", rwhere))] = need(r, "speedup", rwhere)
+            need(r, "speedup", rwhere)
+            out[(name, need(r, "adversary", rwhere))] = r
     return out
+
+
+def iqr_note(record):
+    """The per-pair ratio's quartiles, when the run recorded them."""
+    if "speedup_q1" in record and "speedup_q3" in record:
+        return (f" [per-pair IQR {record['speedup_q1']:.2f}x-"
+                f"{record['speedup_q3']:.2f}x]")
+    return ""
 
 
 def main():
@@ -90,22 +102,27 @@ def main():
     fresh = cells(fresh_doc, args.fresh)
 
     failed = False
-    for key, base_speedup in sorted(base.items()):
+    for key, base_record in sorted(base.items()):
         instance, adversary = key
         if key not in fresh:
             print(f"MISSING  {instance} / {adversary}: cell absent from fresh run")
             failed = True
             continue
-        ratio = fresh[key] / base_speedup
-        verdict = "ok" if ratio >= args.tolerance else "REGRESSED"
+        base_speedup = base_record["speedup"]
+        fresh_speedup = fresh[key]["speedup"]
+        ratio = fresh_speedup / base_speedup
+        regressed = ratio < args.tolerance
+        verdict = "REGRESSED" if regressed else "ok"
         print(f"{verdict:9s}{instance} / {adversary}: "
-              f"speedup {base_speedup:.2f}x -> {fresh[key]:.2f}x "
-              f"({ratio:.2f} of baseline)")
-        if ratio < args.tolerance:
+              f"speedup {base_speedup:.2f}x -> {fresh_speedup:.2f}x "
+              f"({ratio:.2f} of baseline)"
+              + (iqr_note(fresh[key]) if regressed else ""))
+        if regressed:
             failed = True
 
     for key in sorted(set(fresh) - set(base)):
-        print(f"new      {key[0]} / {key[1]}: speedup {fresh[key]:.2f}x (no baseline)")
+        print(f"new      {key[0]} / {key[1]}: speedup {fresh[key]['speedup']:.2f}x "
+              f"(no baseline)")
 
     # Aggregation memory gate: recorded, not recomputed, so the committed
     # BENCH_batch.json is the auditable record of the sketch's memory win.
