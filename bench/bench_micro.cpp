@@ -7,20 +7,23 @@
 // `bench_micro --json [path]` skips google-benchmark and runs the perf-smoke
 // comparison of the execution backends on the Table 1 instance and two
 // composed towers, writing BENCH_batch.json (per adversary: median ns per
-// node-round of each backend, and the median and quartiles of the per-pair
-// scalar / batched ratio over interleaved pairs) so CI records the perf
-// trajectory.
+// node-round of each backend, the median and quartiles of the per-pair
+// scalar / batched ratio over interleaved pairs, and each backend's heap
+// allocations per node-round) so CI records the perf trajectory.
 #include <benchmark/benchmark.h>
 
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <new>
 #include <sstream>
 #include <vector>
 
@@ -36,6 +39,40 @@
 #include "synthesis/known_tables.hpp"
 #include "synthesis/verifier.hpp"
 #include "util/rng.hpp"
+
+// --- Allocation counting ------------------------------------------------------
+//
+// Every heap allocation of this process goes through the replacements below,
+// so --json reports exact allocations per node-round next to the timings. A
+// count does not depend on the host, so its gate cannot flake. The array and
+// nothrow forms of the standard library forward to these. They stay out of
+// line: inlined, GCC pairs their malloc() and free() with the standard
+// library's new and delete calls and warns of a mismatch.
+
+namespace {
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void* operator new(std::size_t n, std::align_val_t al) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  void* p = nullptr;
+  const std::size_t align = std::max(static_cast<std::size_t>(al), sizeof(void*));
+  if (posix_memalign(&p, align, n == 0 ? 1 : n) == 0) return p;
+  throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -344,10 +381,15 @@ long probe_rss_child(const std::string& exe, const std::string& mode, std::size_
 
 // --- Perf smoke (--json): records the backend trajectory for CI -------------
 
-double seconds_of(const std::function<void()>& fn) {
+// Seconds one call of `fn` takes; adds the heap allocations it makes to
+// `allocs`.
+double seconds_of(const std::function<void()>& fn, std::uint64_t& allocs) {
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
   const auto t0 = std::chrono::steady_clock::now();
   fn();
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  const double s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  allocs += g_allocs.load(std::memory_order_relaxed) - before;
+  return s;
 }
 
 // The q-quantile of `v` (0 <= q <= 1), interpolating between order
@@ -364,6 +406,7 @@ double quantile(std::vector<double> v, double q) {
 // side, kPairs pairs of one scalar and one batched pass, alternating which
 // side runs first. A slow phase of the host then hits both passes of a
 // pair, so the per-pair ratio stays put where a best-of-N per side drifts.
+// The allocation counts cover the timed passes only, not the warm-ups.
 struct PairedTiming {
   static constexpr int kPairs = 7;
   double scalar_s = 0;   // median scalar pass
@@ -371,28 +414,35 @@ struct PairedTiming {
   double speedup = 0;    // median per-pair scalar / batched ratio
   double speedup_q1 = 0;
   double speedup_q3 = 0;
+  std::uint64_t scalar_allocs = 0;  // heap allocations, all timed scalar passes
+  std::uint64_t batch_allocs = 0;   // heap allocations, all timed batched passes
 };
 
 PairedTiming time_pairs(const std::function<void()>& scalar, const std::function<void()>& batch) {
   scalar();
   batch();
+  PairedTiming t;
   std::vector<double> scalar_s, batch_s, ratio;
   for (int p = 0; p < PairedTiming::kPairs; ++p) {
     double s = 0;
     double b = 0;
     if (p % 2 == 0) {
-      s = seconds_of(scalar);
-      b = seconds_of(batch);
+      s = seconds_of(scalar, t.scalar_allocs);
+      b = seconds_of(batch, t.batch_allocs);
     } else {
-      b = seconds_of(batch);
-      s = seconds_of(scalar);
+      b = seconds_of(batch, t.batch_allocs);
+      s = seconds_of(scalar, t.scalar_allocs);
     }
     scalar_s.push_back(s);
     batch_s.push_back(b);
     ratio.push_back(s / b);
   }
-  return {quantile(scalar_s, 0.5), quantile(batch_s, 0.5), quantile(ratio, 0.5),
-          quantile(ratio, 0.25), quantile(ratio, 0.75)};
+  t.scalar_s = quantile(scalar_s, 0.5);
+  t.batch_s = quantile(batch_s, 0.5);
+  t.speedup = quantile(ratio, 0.5);
+  t.speedup_q1 = quantile(ratio, 0.25);
+  t.speedup_q3 = quantile(ratio, 0.75);
+  return t;
 }
 
 struct SmokeInstance {
@@ -439,14 +489,19 @@ int run_json_smoke(const std::string& exe, const std::string& path) {
                                         [&c] { run_batch_case(c, sim::BatchKernel::kAuto); });
       const double scalar_ns = 1e9 * t.scalar_s / nr;
       const double batch_ns = 1e9 * t.batch_s / nr;
+      const double timed_nr = PairedTiming::kPairs * nr;
+      const double scalar_allocs = static_cast<double>(t.scalar_allocs) / timed_nr;
+      const double batch_allocs = static_cast<double>(t.batch_allocs) / timed_nr;
       out << (first ? "" : ",") << "\n      {\"adversary\": \"" << adversary
           << "\", \"scalar_ns_per_node_round\": " << scalar_ns
           << ", \"batch_ns_per_node_round\": " << batch_ns << ", \"speedup\": " << t.speedup
           << ", \"speedup_q1\": " << t.speedup_q1 << ", \"speedup_q3\": " << t.speedup_q3
-          << "}";
+          << ",\n       \"scalar_allocs_per_node_round\": " << scalar_allocs
+          << ", \"batch_allocs_per_node_round\": " << batch_allocs << "}";
       std::cout << adversary << ": scalar " << scalar_ns << " ns/node-round, batched "
                 << batch_ns << " ns/node-round, speedup " << t.speedup << "x (IQR "
-                << t.speedup_q1 << "-" << t.speedup_q3 << ")\n";
+                << t.speedup_q1 << "-" << t.speedup_q3 << "); allocations per node-round "
+                << scalar_allocs << " scalar, " << batch_allocs << " batched\n";
       first = false;
     }
     out << "\n     ]}";

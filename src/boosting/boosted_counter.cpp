@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "boosting/tower_scratch.hpp"
 #include "util/check.hpp"
 #include "util/math.hpp"
 
@@ -126,14 +127,24 @@ BoostedCounter::BlockView BoostedCounter::block_view(int block, NodeId j, const 
 }
 
 BoostedCounter::Votes BoostedCounter::votes(std::span<const State> received) const {
+  const FrameLease frame;
+  const VotedRound vt = vote(received, *frame);
+  Votes res;
+  res.block_leader.assign(frame->leaders.begin(), frame->leaders.begin() + params_.k);
+  res.B = vt.B;
+  res.R = vt.R;
+  return res;
+}
+
+BoostedCounter::VotedRound BoostedCounter::vote(std::span<const State> received,
+                                                TowerFrame& frame) const {
   SC_ASSERT(static_cast<int>(received.size()) == N_);
   const auto n = static_cast<std::size_t>(n_inner_);
-  std::vector<std::uint32_t> scratch;
 
   // Per-node derived views. b and r are needed for all nodes (b for the block
   // votes, r for reading the elected block's round counter).
-  std::vector<std::uint64_t> b_all(static_cast<std::size_t>(N_));
-  std::vector<std::uint64_t> r_all(static_cast<std::size_t>(N_));
+  const std::span<std::uint64_t> b_all = take(frame.b, static_cast<std::size_t>(N_));
+  const std::span<std::uint64_t> r_all = take(frame.r, static_cast<std::size_t>(N_));
   for (int u = 0; u < N_; ++u) {
     const int blk = u / n_inner_;
     const BlockView bv = block_view(blk, u % n_inner_, received[static_cast<std::size_t>(u)]);
@@ -141,20 +152,21 @@ BoostedCounter::Votes BoostedCounter::votes(std::span<const State> received) con
     r_all[static_cast<std::size_t>(u)] = bv.r;
   }
 
-  Votes res;
   // b^{i'} = majority{ b[i',j] : j } over each block (> n/2 votes needed).
-  res.block_leader.resize(static_cast<std::size_t>(params_.k));
+  const std::span<std::uint64_t> block_leader =
+      take(frame.leaders, static_cast<std::size_t>(params_.k));
   for (int blk = 0; blk < params_.k; ++blk) {
-    const std::span<const std::uint64_t> block_b(b_all.data() + static_cast<std::size_t>(blk) * n, n);
-    res.block_leader[static_cast<std::size_t>(blk)] =
-        strict_majority(block_b, static_cast<std::uint64_t>(m_), n / 2, scratch);
+    block_leader[static_cast<std::size_t>(blk)] =
+        strict_majority(b_all.subspan(static_cast<std::size_t>(blk) * n, n),
+                        static_cast<std::uint64_t>(m_), n / 2, frame.counts);
   }
+  VotedRound res;
   // B = majority{ b^{i'} } (> k/2 votes needed).
-  res.B = strict_majority(res.block_leader, static_cast<std::uint64_t>(m_),
-                          static_cast<std::size_t>(params_.k) / 2, scratch);
+  res.B = strict_majority(block_leader, static_cast<std::uint64_t>(m_),
+                          static_cast<std::size_t>(params_.k) / 2, frame.counts);
   // R = majority{ r[B,j] : j } over the elected block.
-  const std::span<const std::uint64_t> leader_r(r_all.data() + static_cast<std::size_t>(res.B) * n, n);
-  res.R = strict_majority(leader_r, static_cast<std::uint64_t>(tau_), n / 2, scratch);
+  res.R = strict_majority(r_all.subspan(static_cast<std::size_t>(res.B) * n, n),
+                          static_cast<std::uint64_t>(tau_), n / 2, frame.counts);
   return res;
 }
 
@@ -163,9 +175,11 @@ State BoostedCounter::transition(NodeId v, std::span<const State> received,
   SC_ASSERT(static_cast<int>(received.size()) == N_);
   const int i = v / n_inner_;  // own block
   const int j = v % n_inner_;  // index within the block
+  const FrameLease frame;
 
   // 1. Update the state of algorithm A_i on the own block's inner states.
-  std::vector<State> block_states(static_cast<std::size_t>(n_inner_));
+  const std::span<State> block_states =
+      take(frame->block_states, static_cast<std::size_t>(n_inner_));
   for (int jj = 0; jj < n_inner_; ++jj) {
     block_states[static_cast<std::size_t>(jj)] =
         received[static_cast<std::size_t>(i * n_inner_ + jj)];
@@ -174,10 +188,10 @@ State BoostedCounter::transition(NodeId v, std::span<const State> received,
   const State inner_next = inner_->transition(j, block_states, ctx);
 
   // 2. Compute the voted round counter R.
-  const Votes vt = votes(received);
+  const VotedRound vt = vote(received, *frame);
 
   // 3. Execute instruction set I_R of the phase king.
-  std::vector<std::uint64_t> received_a(static_cast<std::size_t>(N_));
+  const std::span<std::uint64_t> received_a = take(frame->a, static_cast<std::size_t>(N_));
   for (int u = 0; u < N_; ++u) {
     received_a[static_cast<std::size_t>(u)] = phaseking::decode_a(
         received[static_cast<std::size_t>(u)].get_bits(inner_bits_, a_bits_), params_.C);

@@ -20,6 +20,10 @@
 //
 // Costs exactly as in the paper: T(B) ≤ T(A) + 3(F+2)(2m)^k and
 // S(B) = S(A) + ⌈log(C+1)⌉ + 1 bits (state layout: [inner | a | d]).
+//
+// transition() and votes() allocate nothing once warm: their per-node and
+// per-block buffers are the calling thread's frame for the level's nesting
+// depth (boosting/tower_scratch.hpp), which PullingBoostedCounter shares.
 #pragma once
 
 #include <vector>
@@ -49,6 +53,8 @@ struct BoostParams {
   int F = 0;           // boosted resilience, F < (f+1)·ceil(k/2)
   std::uint64_t C = 0; // output counter size (> 1)
 };
+
+struct TowerFrame;  // boosting/tower_scratch.hpp
 
 class BoostedCounter final : public counting::CountingAlgorithm {
  public:
@@ -111,6 +117,14 @@ class BoostedCounter final : public counting::CountingAlgorithm {
   Votes votes(std::span<const State> received) const;
 
  private:
+  struct VotedRound {
+    std::uint64_t B;
+    std::uint64_t R;
+  };
+  // The votes, computed in `frame`: block_leader is left in
+  // frame.leaders[0, k). votes() and transition() both run this.
+  VotedRound vote(std::span<const State> received, TowerFrame& frame) const;
+
   AlgorithmPtr inner_;
   BoostParams params_;
   int n_inner_;

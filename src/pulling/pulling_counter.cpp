@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "boosting/planner.hpp"
+#include "boosting/tower_scratch.hpp"
 #include "counting/trivial.hpp"
 #include "util/check.hpp"
 #include "util/math.hpp"
@@ -96,9 +97,12 @@ State PullingBoostedCounter::transition(NodeId v, std::span<const State> receive
   util::Rng fixed_rng(util::hash_combine(params_.seed, static_cast<std::uint64_t>(v)));
   util::Rng& rng = params_.mode == SamplingMode::kFixed ? fixed_rng : ctx.rand();
 
+  const boosting::FrameLease frame;
+
   // 1. Update A_i on the own block (the node pulls its whole block: deep
   // levels are small, cf. "perform the step deterministically" in §5.3).
-  std::vector<State> block_states(static_cast<std::size_t>(n_inner_));
+  const std::span<State> block_states =
+      boosting::take(frame->block_states, static_cast<std::size_t>(n_inner_));
   for (int jj = 0; jj < n_inner_; ++jj) {
     block_states[static_cast<std::size_t>(jj)] =
         received[static_cast<std::size_t>(i * n_inner_ + jj)];
@@ -108,13 +112,14 @@ State PullingBoostedCounter::transition(NodeId v, std::span<const State> receive
   ctx.messages_pulled += static_cast<std::uint64_t>(n_inner_);
 
   // 2. Sampled majority votes (Lemma 9): M states per block, with repetition.
-  std::vector<std::uint32_t> scratch;
-  std::vector<std::uint64_t> block_votes(static_cast<std::size_t>(params_.k));
-  std::vector<std::uint64_t> bvals(M);
-  std::vector<std::vector<std::uint32_t>> samples(static_cast<std::size_t>(params_.k));
+  std::vector<std::uint32_t>& scratch = frame->counts;
+  const std::span<std::uint64_t> block_votes =
+      boosting::take(frame->leaders, static_cast<std::size_t>(params_.k));
+  const std::span<std::uint64_t> bvals = boosting::take(frame->b, M);
+  const std::span<std::uint32_t> samples =
+      boosting::take(frame->samples, static_cast<std::size_t>(params_.k) * M);
   for (int blk = 0; blk < params_.k; ++blk) {
-    auto& sample = samples[static_cast<std::size_t>(blk)];
-    sample.resize(M);
+    const std::span<std::uint32_t> sample = samples.subspan(static_cast<std::size_t>(blk) * M, M);
     for (std::size_t t = 0; t < M; ++t) {
       sample[t] = static_cast<std::uint32_t>(rng.next_below(static_cast<std::uint64_t>(n_inner_)));
     }
@@ -136,9 +141,10 @@ State PullingBoostedCounter::transition(NodeId v, std::span<const State> receive
       sampled_majority(block_votes, static_cast<std::uint64_t>(m_), scratch);
 
   // R: reuse block B's samples, reading the r component this time.
-  std::vector<std::uint64_t> rvals(M);
+  const std::span<std::uint64_t> rvals = boosting::take(frame->r, M);
   {
-    const auto& sample = samples[static_cast<std::size_t>(B)];
+    const std::span<const std::uint32_t> sample =
+        samples.subspan(static_cast<std::size_t>(B) * M, M);
     for (std::size_t t = 0; t < M; ++t) {
       const int u = static_cast<int>(B) * n_inner_ + static_cast<int>(sample[t]);
       State inner_state = received[static_cast<std::size_t>(u)];
@@ -154,7 +160,7 @@ State PullingBoostedCounter::transition(NodeId v, std::span<const State> receive
 
   // 3. Sampled phase king (Lemma 8): M samples from the whole network plus a
   // direct pull of the king.
-  std::vector<std::uint64_t> sampled_a(M);
+  const std::span<std::uint64_t> sampled_a = boosting::take(frame->a, M);
   for (std::size_t t = 0; t < M; ++t) {
     const auto u = rng.next_below(static_cast<std::uint64_t>(N_));
     sampled_a[t] = phaseking::decode_a(

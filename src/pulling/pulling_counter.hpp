@@ -14,6 +14,11 @@
 //   * kFixed  -- per-node samples drawn once from a seed and reused forever:
 //     the pseudo-random counters of Corollary 5, which against an oblivious
 //     adversary stabilise w.h.p. and then count correctly *deterministically*.
+//
+// transition() allocates nothing once warm: its block states, samples and
+// sampled values live in the calling thread's frame for the level's nesting
+// depth (boosting/tower_scratch.hpp), shared with BoostedCounter so that
+// mixed towers nest.
 #pragma once
 
 #include <vector>

@@ -14,26 +14,26 @@ State random_state(const CountingAlgorithm& algo, util::Rng& rng) {
   return counting::arbitrary_state(algo, rng);
 }
 
-// Draws exactly the bit chunks of counting::arbitrary_state but skips the
-// canonical decode. Every consumer reduces a raw pattern identically to
-// canonicalize (the scalar runner canonicalises delivered messages itself;
-// the batched runners reduce raw fields directly), so a strategy may hand
-// out raw states as long as the rng draw sequence is unchanged -- which it
-// is, canonicalize being draw-free.
-State raw_random_state(const CountingAlgorithm& algo, util::Rng& rng) {
-  State raw;
-  const int bits = algo.state_bits();
+// Overwrites `raw` with exactly the bit chunks counting::arbitrary_state
+// draws for a `bits`-bit state, but skips the canonical decode. Every
+// consumer reduces a raw pattern identically to canonicalize (the scalar
+// runner canonicalises delivered messages itself; the batched runners
+// reduce raw fields directly), so a strategy may hand out raw states as long
+// as the rng draw sequence is unchanged -- which it is, canonicalize being
+// draw-free.
+void draw_raw_state(State& raw, int bits, util::Rng& rng) {
+  raw = State{};
   for (int off = 0; off < bits; off += 64) {
     raw.set_bits(off, std::min(64, bits - off), rng.next_u64());
   }
-  return raw;
 }
 
-// Profile geometry of a receiver-dependent strategy's forge_lanes_idx: one
-// profile per correct receiver, numbered in correct_ids order -- the
-// geometry of the default forge_block's nested (receiver, sender) loop. The
-// map only depends on the placement, so it is rebuilt only when the node
-// count changes.
+// Profile geometry of a receiver-dependent strategy's forge_block and
+// forge_lanes_idx: one profile per correct receiver, numbered in correct_ids
+// order -- the geometry of the default forge_block's nested (receiver,
+// sender) loop. The map only depends on the placement, and a batched runner
+// keeps each ForgedRound for one placement (sim/lanes.hpp), so it is rebuilt
+// only when the node count changes.
 void per_receiver_profiles(std::span<const NodeId> correct_ids, std::size_t n, ForgedRound& out) {
   out.num_profiles = static_cast<int>(correct_ids.size());
   if (out.profile_of.size() == n) return;
@@ -95,8 +95,9 @@ State RandomAdversary::message(std::uint64_t, NodeId, NodeId, std::span<const St
 void SplitAdversary::begin_round(std::uint64_t, std::span<const State>,
                                  const CountingAlgorithm& algo, std::span<const NodeId>,
                                  util::Rng& rng) {
-  even_ = raw_random_state(algo, rng);
-  odd_ = raw_random_state(algo, rng);
+  const int bits = algo.state_bits();
+  draw_raw_state(even_, bits, rng);
+  draw_raw_state(odd_, bits, rng);
 }
 
 State SplitAdversary::message(std::uint64_t, NodeId, NodeId receiver, std::span<const State>,
@@ -132,17 +133,12 @@ void RandomAdversary::forge_block(std::uint64_t, std::span<const State> true_sta
                                   std::span<const NodeId> correct_ids, util::Rng& rng,
                                   ForgedRound& out) {
   // begin_round is passive; the draws happen per (receiver, sender) in the
-  // scalar runner's nested query order.
-  const std::size_t nf = faulty_ids.size();
-  out.num_profiles = static_cast<int>(correct_ids.size());
-  out.states.resize(correct_ids.size() * nf);
-  out.profile_of.assign(true_states.size(), 0);
-  for (std::size_t j = 0; j < correct_ids.size(); ++j) {
-    out.profile_of[static_cast<std::size_t>(correct_ids[j])] = static_cast<std::uint16_t>(j);
-    for (std::size_t k = 0; k < nf; ++k) {
-      out.states[j * nf + k] = raw_random_state(algo, rng);
-    }
-  }
+  // scalar runner's nested query order, which is slot order.
+  per_receiver_profiles(correct_ids, true_states.size(), out);
+  const std::size_t slots = correct_ids.size() * faulty_ids.size();
+  out.states.resize(slots);
+  const int bits = algo.state_bits();
+  for (std::size_t s = 0; s < slots; ++s) draw_raw_state(out.states[s], bits, rng);
 }
 
 bool SplitAdversary::forge_lanes_idx(std::uint64_t /*round*/, const CountingAlgorithm& algo,

@@ -211,7 +211,7 @@ class Adversary {
 
   // Refreshes `g` if `algo` changed; returns g.ok. Admissible iff the state
   // space is enumerable with |X| <= 256 and state_bits <= 64 (one raw draw
-  // chunk, so the idx path's rng sequence matches raw_random_state's).
+  // chunk, so the idx path's rng sequence matches draw_raw_state's).
   static bool idx_guard(IdxGuard& g, const CountingAlgorithm& algo);
 };
 

@@ -13,6 +13,14 @@ ratio ("speedup") with its quartiles ("speedup_q1", "speedup_q3"): a slow
 phase of the host hits both passes of a pair, so a shrinking ratio means the
 batched kernels specifically got slower. A failing cell prints its IQR.
 
+Also gates exact allocation counts: every fresh cell's
+"scalar_allocs_per_node_round" and "batch_allocs_per_node_round" (heap
+allocations over the timed passes, counted by bench_micro's replacement
+operator new) must stay at or below MAX_ALLOCS_PER_NODE_ROUND. A count
+depends on the code, not on the host's speed or load, so this gate cannot
+flake; the ceiling sits below one allocation per execution-round on every
+instance.
+
 Also gates the "aggregation" memory section: the sketch-mode fold of the
 synthetic million-cell sweep must peak below --max-rss-ratio (default 0.10)
 of the exact-mode fold, net of the probe child's load-time RSS floor. A
@@ -39,6 +47,13 @@ Usage: check_perf_smoke.py BASELINE.json FRESH.json [--tolerance 0.75]
 import argparse
 import json
 import sys
+
+# Heap allocations per node-round allowed on either backend of any cell. One
+# allocation per round of an execution adds 1/(N - f) per node-round: at least
+# 1/29 = 0.034 on the N=36 tower and more on the smaller instances, so any
+# per-round allocation fails. What stays is per-run set-up (states, adversary,
+# result), which read at most 0.015 when the gate was introduced.
+MAX_ALLOCS_PER_NODE_ROUND = 0.03
 
 
 def fail(message):
@@ -123,6 +138,21 @@ def main():
     for key in sorted(set(fresh) - set(base)):
         print(f"new      {key[0]} / {key[1]}: speedup {fresh[key]['speedup']:.2f}x "
               f"(no baseline)")
+
+    # Exact allocation gate: fresh counts against a fixed ceiling, so it needs
+    # no baseline, and a count does not move with the host's speed or load.
+    for key, record in sorted(fresh.items()):
+        instance, adversary = key
+        where = f"{args.fresh} ({instance} / {adversary})"
+        counts = {side: need(record, f"{side}_allocs_per_node_round", where)
+                  for side in ("scalar", "batch")}
+        over = any(c > MAX_ALLOCS_PER_NODE_ROUND for c in counts.values())
+        verdict = "ALLOCS" if over else "ok"
+        print(f"{verdict:9s}{instance} / {adversary}: allocations per node-round "
+              f"{counts['scalar']:.4f} scalar, {counts['batch']:.4f} batched "
+              f"(ceiling {MAX_ALLOCS_PER_NODE_ROUND})")
+        if over:
+            failed = True
 
     # Aggregation memory gate: recorded, not recomputed, so the committed
     # BENCH_batch.json is the auditable record of the sketch's memory win.
