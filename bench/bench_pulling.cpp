@@ -3,7 +3,11 @@
 // composed batched backend).
 //  * E7 (Theorem 4 / Corollary 4): messages pulled per node per round --
 //    O(k log eta) per level instead of n -- and the quality of counting
-//    (longest valid window) as a function of the sample size M.
+//    (longest valid window) as a function of the sample size M. With one
+//    pulling top level of k blocks of n_inner nodes, a node pulls its own
+//    block, M states per block, M network states and the king every round:
+//    n_inner + (k+1)*M + 1. Each E7 row runs on the batched and the scalar
+//    backend, and the bench exits 1 when either differs from that.
 //  * E8 (Corollary 5): the pseudo-random variant with per-node sampling bits
 //    fixed once; against an oblivious adversary a good seed stabilises and
 //    then counts deterministically. We report the fraction of good seeds.
@@ -17,6 +21,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "boosting/planner.hpp"
 #include "counting/trivial.hpp"
 #include "pulling/pulling_counter.hpp"
 #include "util/cli.hpp"
@@ -47,28 +52,57 @@ int main(int argc, char** argv) {
   const bool deep = cli.get_bool("deep");
   const bench::Harness harness(cli);
 
+  int failed = 0;
   std::cout << "=== E7: pulls per round (Theorem 4 / Corollary 4) ===\n\n";
   {
-    util::Table table({"f", "N", "broadcast msgs/node/round", "M", "pulls/node/round",
+    util::Table table({"f", "N", "broadcast msgs/node/round", "M", "closed form",
+                       "pulls/node/round (batched)", "pulls/node/round (scalar)",
                        "pull fraction", "batched cells"});
     std::vector<int> targets = {1, 3, 7};
     if (deep) targets.push_back(15);
     for (int f : targets) {
       const int M = 2 * static_cast<int>(std::ceil(std::log2(1.0 + 4 * std::pow(3.0, f))));
+      const auto plan = boosting::plan_practical(f, 16);
       const auto algo =
           pulling::build_pulling_practical(f, 16, M, pulling::SamplingMode::kFresh);
       const int N = algo->num_nodes();
+      const int k = plan.levels.back().k;
+      const auto closed = static_cast<std::uint64_t>(N / k + (k + 1) * M + 1);
       sim::ExperimentSpec spec;
       spec.algo = algo;
       spec.adversaries = {"random"};
       spec.seeds = seeds;
       spec.max_rounds = 20;
       spec.margin = 2;
-      const auto res = harness.run("E7-f" + std::to_string(f), spec);
+      // Every node pulls the same count every round, so the per-run mean,
+      // its extremes and the maximum all equal the closed form.
+      std::string pulls[2];
+      std::uint64_t batched_cells = 0;
+      for (const auto backend : {sim::Backend::kAuto, sim::Backend::kScalar}) {
+        const bool scalar = backend == sim::Backend::kScalar;
+        spec.backend = backend;
+        const auto res =
+            harness.run("E7-f" + std::to_string(f) + (scalar ? "-scalar" : ""), spec);
+        const auto& t = res.total;
+        const bool ok = t.runs > 0 && t.max_pulls == closed &&
+                        t.avg_pulls.min() == static_cast<double>(closed) &&
+                        t.avg_pulls.max() == static_cast<double>(closed) &&
+                        res.batched_cells == (scalar ? 0 : t.runs);
+        if (!ok) {
+          std::cout << "CHECK FAILED: f=" << f << " on the " << (scalar ? "scalar" : "batched")
+                    << " backend pulls max " << t.max_pulls << ", mean in ["
+                    << t.avg_pulls.min() << ", " << t.avg_pulls.max() << "] over "
+                    << res.batched_cells << "/" << t.runs
+                    << " batched cells; closed form " << closed << "\n";
+          ++failed;
+        }
+        pulls[scalar ? 1 : 0] = std::to_string(t.max_pulls);
+        if (!scalar) batched_cells = res.batched_cells;
+      }
       table.add_row({std::to_string(f), std::to_string(N), std::to_string(N),
-                     std::to_string(M), std::to_string(res.total.max_pulls),
-                     util::fmt_double(static_cast<double>(res.total.max_pulls) / N, 2),
-                     std::to_string(res.batched_cells)});
+                     std::to_string(M), std::to_string(closed), pulls[0], pulls[1],
+                     util::fmt_double(static_cast<double>(closed) / N, 2),
+                     std::to_string(batched_cells)});
     }
     table.print(std::cout);
     std::cout << "\nAt the toy sizes a node pulls a constant multiple of log(eta) messages,\n"
@@ -142,5 +176,5 @@ int main(int argc, char** argv) {
               << "good sample set keeps counting forever (no per-round failure), and\n"
               << "the fraction of good seeds grows with M -- Corollary 5.\n";
   }
-  return 0;
+  return failed == 0 ? 0 : 1;
 }

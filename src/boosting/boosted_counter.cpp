@@ -25,7 +25,9 @@ std::uint64_t strict_majority(std::span<const std::uint64_t> values, std::uint64
   return found ? winner : fallback;
 }
 
-BoostedCounter::BoostedCounter(AlgorithmPtr inner, const BoostParams& params)
+// --- BoostingLevel ------------------------------------------------------------
+
+BoostingLevel::BoostingLevel(AlgorithmPtr inner, const BoostParams& params)
     : inner_(std::move(inner)), params_(params) {
   SC_CHECK(inner_ != nullptr, "no inner algorithm");
   SC_CHECK(params_.k >= 3, "need at least 3 blocks (Theorem 1)");
@@ -72,49 +74,34 @@ BoostedCounter::BoostedCounter(AlgorithmPtr inner, const BoostParams& params)
            "state too wide: increase BitVec capacity");
 }
 
-std::optional<std::uint64_t> BoostedCounter::stabilisation_bound() const noexcept {
+std::optional<std::uint64_t> BoostingLevel::stabilisation_bound() const noexcept {
   const auto inner_bound = inner_->stabilisation_bound();
   if (!inner_bound) return std::nullopt;
   return *inner_bound + ck_;  // T(B) <= T(A) + 3(F+2)(2m)^k
 }
 
-std::string BoostedCounter::name() const {
-  return "boosted(k=" + std::to_string(params_.k) + ",F=" + std::to_string(params_.F) +
-         ",C=" + std::to_string(params_.C) + ")<" + inner_->name() + ">";
-}
-
-std::uint64_t BoostedCounter::block_modulus(int block) const {
+std::uint64_t BoostingLevel::block_modulus(int block) const {
   SC_CHECK(block >= 0 && block < params_.k, "block index out of range");
   return static_cast<std::uint64_t>(tau_) * pow2m_[static_cast<std::size_t>(block) + 1];
 }
 
-BoostedCounter::Decoded BoostedCounter::decode(const State& s) const {
+BoostingLevel::Decoded BoostingLevel::decode(const State& s) const {
   Decoded d;
   d.inner = s;
   d.inner.truncate(inner_bits_);
-  d.a = phaseking::decode_a(s.get_bits(inner_bits_, a_bits_), params_.C);
-  d.d = s.get_bit(inner_bits_ + a_bits_);
+  d.a = a_of(s);
+  d.d = d_of(s);
   return d;
 }
 
-State BoostedCounter::encode(const Decoded& d) const {
-  State s = d.inner;
-  s.truncate(inner_bits_);
-  s.set_bits(inner_bits_, a_bits_, phaseking::encode_a(d.a, params_.C));
-  s.set_bit(inner_bits_ + a_bits_, d.d);
-  return s;
-}
+State BoostingLevel::encode(const Decoded& d) const { return pack(d.inner, d.a, d.d); }
 
-State BoostedCounter::state_with_output(NodeId /*i*/, std::uint64_t target) const {
+State BoostingLevel::state_with_output(NodeId /*i*/, std::uint64_t target) const {
   SC_CHECK(target < params_.C, "output target out of range");
-  Decoded d;
-  d.inner = inner_->canonicalize(State{});
-  d.a = target;
-  d.d = true;
-  return encode(d);
+  return pack(inner_->canonicalize(State{}), target, true);
 }
 
-BoostedCounter::BlockView BoostedCounter::block_view(int block, NodeId j, const State& s) const {
+BoostingLevel::BlockView BoostingLevel::block_view(int block, NodeId j, const State& s) const {
   State inner_state = s;
   inner_state.truncate(inner_bits_);
   const std::uint64_t out = inner_->output(j, inner_state);
@@ -124,6 +111,48 @@ BoostedCounter::BlockView BoostedCounter::block_view(int block, NodeId j, const 
   v.y = v.value / static_cast<std::uint64_t>(tau_);
   v.b = (v.y / pow2m_[static_cast<std::size_t>(block)]) % static_cast<std::uint64_t>(m_);
   return v;
+}
+
+State BoostingLevel::inner_step(NodeId v, std::span<const State> received, TowerFrame& frame,
+                                counting::TransitionContext& ctx) const {
+  const int i = v / n_inner_;  // own block
+  const std::span<State> block_states =
+      take(frame.block_states, static_cast<std::size_t>(n_inner_));
+  for (int jj = 0; jj < n_inner_; ++jj) {
+    block_states[static_cast<std::size_t>(jj)] =
+        received[static_cast<std::size_t>(i * n_inner_ + jj)];
+    block_states[static_cast<std::size_t>(jj)].truncate(inner_bits_);
+  }
+  return inner_->transition(v % n_inner_, block_states, ctx);
+}
+
+std::uint64_t BoostingLevel::output(NodeId /*v*/, const State& s) const {
+  const std::uint64_t a = a_of(s);
+  return a == phaseking::kInfinity ? 0 : a;
+}
+
+State BoostingLevel::canonicalize(const State& raw) const {
+  State inner_raw = raw;
+  inner_raw.truncate(inner_bits_);
+  State s = inner_->canonicalize(inner_raw);
+  SC_ASSERT([&] {
+    State check = s;
+    check.truncate(inner_bits_);
+    return check == s;
+  }());
+  // a: any pattern >= C means ∞ and re-encodes as C; d passes through.
+  set_registers(s, a_of(raw), d_of(raw));
+  return s;
+}
+
+// --- BoostedCounter -----------------------------------------------------------
+
+BoostedCounter::BoostedCounter(AlgorithmPtr inner, const BoostParams& params)
+    : BoostingLevel(std::move(inner), params) {}
+
+std::string BoostedCounter::name() const {
+  return "boosted(k=" + std::to_string(params_.k) + ",F=" + std::to_string(params_.F) +
+         ",C=" + std::to_string(params_.C) + ")<" + inner_->name() + ">";
 }
 
 BoostedCounter::Votes BoostedCounter::votes(std::span<const State> received) const {
@@ -173,19 +202,10 @@ BoostedCounter::VotedRound BoostedCounter::vote(std::span<const State> received,
 State BoostedCounter::transition(NodeId v, std::span<const State> received,
                                  counting::TransitionContext& ctx) const {
   SC_ASSERT(static_cast<int>(received.size()) == N_);
-  const int i = v / n_inner_;  // own block
-  const int j = v % n_inner_;  // index within the block
   const FrameLease frame;
 
   // 1. Update the state of algorithm A_i on the own block's inner states.
-  const std::span<State> block_states =
-      take(frame->block_states, static_cast<std::size_t>(n_inner_));
-  for (int jj = 0; jj < n_inner_; ++jj) {
-    block_states[static_cast<std::size_t>(jj)] =
-        received[static_cast<std::size_t>(i * n_inner_ + jj)];
-    block_states[static_cast<std::size_t>(jj)].truncate(inner_bits_);
-  }
-  const State inner_next = inner_->transition(j, block_states, ctx);
+  const State inner_next = inner_step(v, received, *frame, ctx);
 
   // 2. Compute the voted round counter R.
   const VotedRound vt = vote(received, *frame);
@@ -193,42 +213,13 @@ State BoostedCounter::transition(NodeId v, std::span<const State> received,
   // 3. Execute instruction set I_R of the phase king.
   const std::span<std::uint64_t> received_a = take(frame->a, static_cast<std::size_t>(N_));
   for (int u = 0; u < N_; ++u) {
-    received_a[static_cast<std::size_t>(u)] = phaseking::decode_a(
-        received[static_cast<std::size_t>(u)].get_bits(inner_bits_, a_bits_), params_.C);
+    received_a[static_cast<std::size_t>(u)] = a_of(received[static_cast<std::size_t>(u)]);
   }
   const phaseking::Registers own{received_a[static_cast<std::size_t>(v)],
-                                 received[static_cast<std::size_t>(v)].get_bit(inner_bits_ + a_bits_)};
+                                 d_of(received[static_cast<std::size_t>(v)])};
   const phaseking::Registers next =
       phaseking::step(pk_, static_cast<int>(vt.R), v, own, received_a);
-
-  // Serialise [inner | a | d].
-  State s = inner_next;
-  s.truncate(inner_bits_);
-  s.set_bits(inner_bits_, a_bits_, phaseking::encode_a(next.a, params_.C));
-  s.set_bit(inner_bits_ + a_bits_, next.d);
-  return s;
-}
-
-std::uint64_t BoostedCounter::output(NodeId /*v*/, const State& s) const {
-  const std::uint64_t a = phaseking::decode_a(s.get_bits(inner_bits_, a_bits_), params_.C);
-  return a == phaseking::kInfinity ? 0 : a;
-}
-
-State BoostedCounter::canonicalize(const State& raw) const {
-  State inner_raw = raw;
-  inner_raw.truncate(inner_bits_);
-  State s = inner_->canonicalize(inner_raw);
-  SC_ASSERT([&] {
-    State check = s;
-    check.truncate(inner_bits_);
-    return check == s;
-  }());
-  // a: any pattern >= C means ∞ and re-encodes as C; d passes through.
-  const std::uint64_t a_pat = raw.get_bits(inner_bits_, a_bits_);
-  s.set_bits(inner_bits_, a_bits_,
-             phaseking::encode_a(phaseking::decode_a(a_pat, params_.C), params_.C));
-  s.set_bit(inner_bits_ + a_bits_, raw.get_bit(inner_bits_ + a_bits_));
-  return s;
+  return pack(inner_next, next.a, next.d);
 }
 
 }  // namespace synccount::boosting

@@ -21,11 +21,20 @@
 // Costs exactly as in the paper: T(B) ≤ T(A) + 3(F+2)(2m)^k and
 // S(B) = S(A) + ⌈log(C+1)⌉ + 1 bits (state layout: [inner | a | d]).
 //
+// Everything but the votes of steps 3 and 4 is BoostingLevel, which §5's
+// pulling counter (pulling/pulling_counter.hpp) shares: the parameter
+// checks, the geometry and (2m)^i table, the phase-king parameters, the
+// state layout, block_view, step 1, the output and the bound. Each level
+// class adds only how it votes: BoostedCounter over every broadcast state
+// with phaseking::step, PullingBoostedCounter over samples with
+// phaseking::step_sampled.
+//
 // transition() and votes() allocate nothing once warm: their per-node and
 // per-block buffers are the calling thread's frame for the level's nesting
 // depth (boosting/tower_scratch.hpp), which PullingBoostedCounter shares.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "counting/algorithm.hpp"
@@ -41,7 +50,8 @@ using counting::State;
 // occurring more than `threshold` times, or `fallback` if none does. The
 // paper lets the majority function return an arbitrary value when no correct
 // majority exists; like the paper we default to 0 (any fixed choice works).
-// The composed batched backend (sim/composed_runner.hpp) reads the same
+// A pulling level's sampled majority is this with threshold size / 2. The
+// composed batched backend (sim/composed_runner.hpp) reads the broadcast
 // majorities off per-block counts instead; the differential suites
 // (tests/boosted_batch_test.cpp) keep the two in step.
 std::uint64_t strict_majority(std::span<const std::uint64_t> values, std::uint64_t bound,
@@ -56,24 +66,23 @@ struct BoostParams {
 
 struct TowerFrame;  // boosting/tower_scratch.hpp
 
-class BoostedCounter final : public counting::CountingAlgorithm {
+// One boosting level over `inner`, apart from its votes: a level class
+// derives from this and implements transition() (and name(),
+// deterministic()).
+class BoostingLevel : public counting::CountingAlgorithm {
  public:
-  BoostedCounter(AlgorithmPtr inner, const BoostParams& params);
-
   int num_nodes() const noexcept override { return N_; }
   int resilience() const noexcept override { return params_.F; }
   std::uint64_t modulus() const noexcept override { return params_.C; }
   int state_bits() const noexcept override { return total_bits_; }
+  // T(A) + c_k. A pulling level's bound holds with high probability only.
   std::optional<std::uint64_t> stabilisation_bound() const noexcept override;
-  bool deterministic() const noexcept override { return inner_->deterministic(); }
-  std::string name() const override;
-
-  State transition(NodeId v, std::span<const State> received,
-                   counting::TransitionContext& ctx) const override;
   std::uint64_t output(NodeId v, const State& s) const override;
   State canonicalize(const State& raw) const override;
+  // O(1): zeroed inner state with the phase-king register set to `target`.
+  State state_with_output(NodeId i, std::uint64_t target) const override;
 
-  // --- Introspection (tests, Figure 1/2 benches) --------------------------
+  // --- Introspection (tests, benches, the composed batched backend) -------
   int k() const noexcept { return params_.k; }
   int m() const noexcept { return m_; }
   int tau() const noexcept { return tau_; }
@@ -81,11 +90,17 @@ class BoostedCounter final : public counting::CountingAlgorithm {
   int block_of(NodeId v) const noexcept { return v / n_inner_; }
   const CountingAlgorithm& inner() const noexcept { return *inner_; }
 
+  // (2m)^i, i in [0, k].
+  std::span<const std::uint64_t> pow2m() const noexcept { return pow2m_; }
   // c_i = τ(2m)^{i+1}: modulus of the derived counter of block i.
   std::uint64_t block_modulus(int block) const;
-
   // The additive stabilisation-time cost of this level, c_k = τ(2m)^k.
   std::uint64_t level_time_cost() const noexcept { return ck_; }
+  // The phase king's (N, F, C).
+  const phaseking::Params& phase_king() const noexcept { return pk_; }
+  // The (a, d) registers sit above the inner state's bits.
+  int a_offset() const noexcept { return inner_bits_; }
+  int a_bits() const noexcept { return a_bits_; }
 
   struct Decoded {
     State inner;        // inner-state bits
@@ -95,9 +110,6 @@ class BoostedCounter final : public counting::CountingAlgorithm {
   Decoded decode(const State& s) const;
   State encode(const Decoded& d) const;
 
-  // O(1): zeroed inner state with the phase-king register set to `target`.
-  State state_with_output(NodeId i, std::uint64_t target) const override;
-
   struct BlockView {
     std::uint64_t value;  // A_i output: (inner output) mod c_i
     std::uint64_t r;      // value mod τ
@@ -106,6 +118,56 @@ class BoostedCounter final : public counting::CountingAlgorithm {
   };
   // Derived-counter view of node (block, j)'s state.
   BlockView block_view(int block, NodeId j, const State& s) const;
+
+ protected:
+  BoostingLevel(AlgorithmPtr inner, const BoostParams& params);
+
+  // Step 1: node v's next inner state, A_i run on its own block's received
+  // states (staged in frame.block_states).
+  State inner_step(NodeId v, std::span<const State> received, TowerFrame& frame,
+                   counting::TransitionContext& ctx) const;
+
+  // The a register and d flag of a (canonical or raw) state.
+  std::uint64_t a_of(const State& s) const {
+    return phaseking::decode_a(s.get_bits(inner_bits_, a_bits_), params_.C);
+  }
+  bool d_of(const State& s) const { return s.get_bit(inner_bits_ + a_bits_); }
+
+  // Writes the a register and d flag above the inner bits of `s`.
+  void set_registers(State& s, std::uint64_t a, bool d) const {
+    s.set_bits(inner_bits_, a_bits_, phaseking::encode_a(a, params_.C));
+    s.set_bit(inner_bits_ + a_bits_, d);
+  }
+  // Serialises [inner | a | d].
+  State pack(State inner, std::uint64_t a, bool d) const {
+    inner.truncate(inner_bits_);
+    set_registers(inner, a, d);
+    return inner;
+  }
+
+  AlgorithmPtr inner_;
+  BoostParams params_;
+  int n_inner_;
+  int N_;
+  int m_;
+  int tau_;
+  std::uint64_t ck_;                   // τ(2m)^k
+  std::vector<std::uint64_t> pow2m_;   // (2m)^i, i in [0, k]
+  int inner_bits_;
+  int a_bits_;
+  int total_bits_;
+  phaseking::Params pk_;
+};
+
+class BoostedCounter final : public BoostingLevel {
+ public:
+  BoostedCounter(AlgorithmPtr inner, const BoostParams& params);
+
+  bool deterministic() const noexcept override { return inner_->deterministic(); }
+  std::string name() const override;
+
+  State transition(NodeId v, std::span<const State> received,
+                   counting::TransitionContext& ctx) const override;
 
   struct Votes {
     std::vector<std::uint64_t> block_leader;  // b^{i'} per block
@@ -124,19 +186,6 @@ class BoostedCounter final : public counting::CountingAlgorithm {
   // The votes, computed in `frame`: block_leader is left in
   // frame.leaders[0, k). votes() and transition() both run this.
   VotedRound vote(std::span<const State> received, TowerFrame& frame) const;
-
-  AlgorithmPtr inner_;
-  BoostParams params_;
-  int n_inner_;
-  int N_;
-  int m_;
-  int tau_;
-  std::uint64_t ck_;                   // τ(2m)^k
-  std::vector<std::uint64_t> pow2m_;   // (2m)^i, i in [0, k]
-  int inner_bits_;
-  int a_bits_;
-  int total_bits_;
-  phaseking::Params pk_;
 };
 
 }  // namespace synccount::boosting

@@ -126,29 +126,20 @@ std::optional<AlgorithmSpec> describe(const AlgorithmPtr& algo) {
   // reverse into the spec's bottom-up level order.
   std::vector<AlgorithmSpec::Level> top_down;
   const CountingAlgorithm* cur = algo.get();
-  for (;;) {
-    if (const auto* b = dynamic_cast<const boosting::BoostedCounter*>(cur)) {
-      AlgorithmSpec::Level lv;
-      lv.k = b->k();
-      lv.F = b->resilience();
-      lv.C = b->modulus();
-      top_down.push_back(lv);
-      cur = &b->inner();
-    } else if (const auto* p = dynamic_cast<const pulling::PullingBoostedCounter*>(cur)) {
-      AlgorithmSpec::Level lv;
+  while (const auto* b = dynamic_cast<const boosting::BoostingLevel*>(cur)) {
+    AlgorithmSpec::Level lv;
+    lv.k = b->k();
+    lv.F = b->resilience();
+    lv.C = b->modulus();
+    if (const auto* p = dynamic_cast<const pulling::PullingBoostedCounter*>(b)) {
       lv.pulling = true;
-      lv.k = p->k();
-      lv.F = p->resilience();
-      lv.C = p->modulus();
       lv.sample_size = p->sample_size();
       lv.fixed_sampling = p->mode() == pulling::SamplingMode::kFixed;
       lv.sampling_seed = p->sampling_seed();
       lv.gamma = p->gamma();
-      top_down.push_back(lv);
-      cur = &p->inner();
-    } else {
-      break;
     }
+    top_down.push_back(lv);
+    cur = &b->inner();
   }
 
   AlgorithmSpec base;

@@ -21,27 +21,27 @@ namespace {
 using counting::NodeId;
 using phaseking::kInfinity;
 
-ComposedLevel make_level(ComposedLevel::Kind kind, int n, int N, int k, int m, int tau,
-                         std::uint64_t C, int F, const counting::CountingAlgorithm& inner) {
-  ComposedLevel lv;
-  lv.kind = kind;
-  lv.n = n;
-  lv.copies = N / n;
-  lv.n_inner = inner.num_nodes();
-  lv.k = k;
-  lv.m = m;
-  lv.tau = tau;
-  lv.C = C;
-  lv.pow2m.resize(static_cast<std::size_t>(k) + 1);
-  lv.pow2m[0] = 1;
-  for (int i = 1; i <= k; ++i) {
-    lv.pow2m[static_cast<std::size_t>(i)] =
-        lv.pow2m[static_cast<std::size_t>(i - 1)] * static_cast<std::uint64_t>(2 * m);
+// Level `lv` as the composed backend stores it; `N` is the tower's node count.
+ComposedLevel make_level(const boosting::BoostingLevel& lv, int N) {
+  ComposedLevel out;
+  out.n = lv.num_nodes();
+  out.copies = N / out.n;
+  out.n_inner = lv.block_size();
+  out.k = lv.k();
+  out.m = lv.m();
+  out.tau = lv.tau();
+  out.C = lv.modulus();
+  out.pow2m.assign(lv.pow2m().begin(), lv.pow2m().end());
+  out.pk = lv.phase_king();
+  out.a_offset = lv.a_offset();
+  out.a_bits = lv.a_bits();
+  if (const auto* p = dynamic_cast<const pulling::PullingBoostedCounter*>(&lv)) {
+    out.kind = ComposedLevel::Kind::kPulling;
+    out.sample_size = p->sample_size();
+    out.fixed_sampling = p->mode() == pulling::SamplingMode::kFixed;
+    out.sampling_seed = p->sampling_seed();
   }
-  lv.pk = phaseking::Params{n, F, C};
-  lv.a_offset = inner.state_bits();
-  lv.a_bits = phaseking::a_bits(C);
-  return lv;
+  return out;
 }
 
 // The tower walk behind ComposedCompiledTable::compile and TowerOracle::make.
@@ -53,27 +53,12 @@ std::optional<ComposedCompiledTable> compile_tower(const counting::CountingAlgor
   cc.state_bits = algo.state_bits();
   cc.modulus = algo.modulus();
 
-  // Walk the tower top-down, collecting one ComposedLevel per wrapper.
+  // Walk the tower top-down, collecting one ComposedLevel per level.
   std::vector<ComposedLevel> top_down;
   const counting::CountingAlgorithm* cur = &algo;
-  for (;;) {
-    if (const auto* b = dynamic_cast<const boosting::BoostedCounter*>(cur)) {
-      top_down.push_back(make_level(ComposedLevel::Kind::kBoosted, b->num_nodes(), cc.N,
-                                    b->k(), b->m(), b->tau(), b->modulus(), b->resilience(),
-                                    b->inner()));
-      cur = &b->inner();
-    } else if (const auto* p = dynamic_cast<const pulling::PullingBoostedCounter*>(cur)) {
-      ComposedLevel lv = make_level(ComposedLevel::Kind::kPulling, p->num_nodes(), cc.N,
-                                    p->k(), p->m(), p->tau(), p->modulus(), p->resilience(),
-                                    p->inner());
-      lv.sample_size = p->sample_size();
-      lv.fixed_sampling = p->mode() == pulling::SamplingMode::kFixed;
-      lv.sampling_seed = p->sampling_seed();
-      top_down.push_back(std::move(lv));
-      cur = &p->inner();
-    } else {
-      break;
-    }
+  while (const auto* lv = dynamic_cast<const boosting::BoostingLevel*>(cur)) {
+    top_down.push_back(make_level(*lv, cc.N));
+    cur = &lv->inner();
   }
   if (top_down.empty()) return std::nullopt;  // flat algorithms go to the table path
 
@@ -726,12 +711,12 @@ class ComposedBlock {
         const std::uint64_t y = out / tau;
         mvals_[t] = (y / lv.pow2m[static_cast<std::size_t>(blk)]) % m;
       }
-      leader_[static_cast<std::size_t>(blk)] = pulling::sampled_majority(
-          std::span<const std::uint64_t>(mvals_.data(), M), m, scratch_);
+      leader_[static_cast<std::size_t>(blk)] = boosting::strict_majority(
+          std::span<const std::uint64_t>(mvals_.data(), M), m, M / 2, scratch_);
     }
-    const std::uint64_t B = pulling::sampled_majority(
-        std::span<const std::uint64_t>(leader_.data(), static_cast<std::size_t>(lv.k)), m,
-        scratch_);
+    const auto k = static_cast<std::size_t>(lv.k);
+    const std::uint64_t B = boosting::strict_majority(
+        std::span<const std::uint64_t>(leader_.data(), k), m, k / 2, scratch_);
 
     // R: reuse block B's samples, reading the r component this time.
     {
@@ -742,8 +727,8 @@ class ComposedBlock {
         mvals_[t] = recv_out(off, lvl, u) % cblk % tau;
       }
     }
-    const std::uint64_t R = pulling::sampled_majority(
-        std::span<const std::uint64_t>(mvals_.data(), M), tau, scratch_);
+    const std::uint64_t R = boosting::strict_majority(
+        std::span<const std::uint64_t>(mvals_.data(), M), tau, M / 2, scratch_);
 
     for (std::size_t t = 0; t < M; ++t) {
       const auto u = rng.next_below(static_cast<std::uint64_t>(lv.n));

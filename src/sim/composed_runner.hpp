@@ -4,11 +4,13 @@
 // table but a tower: per-block inner counters, derived leader pointers,
 // majority votes and the phase-king instruction sets, stacked recursively on
 // a trivial or computer-designed base. ComposedCompiledTable::compile walks
-// such a tower (BoostedCounter / PullingBoostedCounter levels over a
+// such a tower (boosting::BoostingLevel levels, broadcast or pulling, over a
 // TrivialCounter or TableAlgorithm base) once and flattens every node state
 // into a field vector -- the base state index plus one (a, d) phase-king
-// register pair per level -- together with per-level stage metadata (block
-// geometry, moduli, (2m)^i powers, phase-king parameters).
+// register pair per level -- together with per-level stage metadata. Each
+// level's geometry, (2m)^i table, phase-king parameters and register offset
+// are copied from the level itself; only the kernels below are the composed
+// backend's own.
 //
 // run_composed_batch then advances up to 64 executions per block in round
 // lockstep on that representation, in one of two modes:
@@ -57,9 +59,10 @@
 
 namespace synccount::sim {
 
-// One boosting level of the tower, bottom-up: level 0 sits directly on the
-// base. A level with n nodes per copy runs N / n independent copies; copy c
-// covers the contiguous global nodes [c*n, (c+1)*n).
+// One boosting level of the tower (a copy of a boosting::BoostingLevel's
+// parameters), bottom-up: level 0 sits directly on the base. A level with n
+// nodes per copy runs N / n independent copies; copy c covers the contiguous
+// global nodes [c*n, (c+1)*n).
 struct ComposedLevel {
   enum class Kind { kBoosted, kPulling };
   Kind kind = Kind::kBoosted;
@@ -172,7 +175,7 @@ class CopyTally {
  private:
   static constexpr std::uint64_t kNone = ~std::uint64_t{0};
 
-  // BoostedCounter::block_view's leader pointer and round counter of `s`.
+  // BoostingLevel::block_view's leader pointer and round counter of `s`.
   // block_view reduces the inner output modulo tau * (2m)^(blk+1) first;
   // tau and m both divide that modulus, so r = o mod tau and
   // b = floor(o / (tau * (2m)^blk)) mod m.

@@ -112,13 +112,11 @@ AggregateResult ExperimentResult::aggregate(std::optional<std::size_t> adversary
   return agg;
 }
 
-Engine::Engine(int threads) {
-  if (threads != 1) pool_ = std::make_unique<util::ThreadPool>(threads);
-}
+Engine::Engine(int threads) : pool_(std::make_unique<util::ThreadPool>(threads)) {}
 
 Engine::~Engine() = default;
 
-int Engine::threads() const noexcept { return pool_ ? pool_->size() : 1; }
+int Engine::threads() const noexcept { return pool_->size(); }
 
 ExperimentResult Engine::run(const ExperimentSpec& spec) const {
   return run(spec, plan_shards(spec, 1, 0), {});
@@ -377,24 +375,9 @@ ExperimentResult Engine::run(const ExperimentSpec& spec, const ShardPlan& shard,
   }
 
   const auto t0 = profile_now();
-  if (pool_) {
-    // Contain task failures (a sink hitting ENOSPC, a bad adversary name):
-    // an exception escaping into a pool worker would std::terminate the
-    // process, so capture the first one and rethrow it on this thread.
-    std::mutex failure_mu;
-    std::exception_ptr failure;
-    pool_->parallel_for(tasks.size(), [&](std::size_t i) {
-      try {
-        tasks[i]();
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(failure_mu);
-        if (!failure) failure = std::current_exception();
-      }
-    });
-    if (failure) std::rethrow_exception(failure);
-  } else {
-    for (auto& task : tasks) task();
-  }
+  // A failing task (a sink hitting ENOSPC, a bad adversary name) does not
+  // stop the others; the pool rethrows the first failure here.
+  pool_->parallel_for(tasks.size(), [&](std::size_t i) { tasks[i](); });
   out.wall_seconds =
       std::chrono::duration<double>(profile_now() - t0).count();
 

@@ -303,7 +303,7 @@ class Engine {
                        const SinkList& sinks = {}) const;
 
  private:
-  std::unique_ptr<util::ThreadPool> pool_;  // null for threads == 1
+  std::unique_ptr<util::ThreadPool> pool_;  // a pool of one runs tasks on the caller
 };
 
 }  // namespace synccount::sim

@@ -1,19 +1,17 @@
-// A small work-stealing thread pool for the batched experiment engine.
+// A fixed pool of worker threads that runs parallel loops.
 //
-// Each worker owns a deque: it pushes and pops its own work at the back
-// (LIFO, cache-friendly) and steals from the front of a victim's deque when
-// empty (FIFO, takes the oldest and therefore largest-granularity work).
-// External submitters distribute tasks round-robin across the worker deques.
-//
-// The pool is deliberately simple -- mutex-guarded deques, not lock-free
-// Chase-Lev -- because experiment cells are coarse (whole executions, many
-// microseconds to seconds each), so queue overhead is irrelevant; what
-// matters is that an idle worker can always find leftover work.
+// The workers start in the constructor and wait for a parallel_for call.
+// Each call hands them one loop: every worker claims the next index from a
+// shared counter until none is left, so iterations start in increasing
+// index order and uneven iteration costs still balance. Experiment cells and
+// synthesis cubes are coarse (whole executions, whole solver runs), so one
+// atomic counter per loop is all the scheduling they need.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -23,50 +21,48 @@ namespace synccount::util {
 
 class ThreadPool {
  public:
-  using Task = std::function<void()>;
-
   // threads == 0 picks std::thread::hardware_concurrency() (at least 1).
+  // A pool of one starts no thread: its loops run on the caller.
   explicit ThreadPool(int threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  int size() const noexcept { return static_cast<int>(workers_.size()); }
+  int size() const noexcept { return size_; }
 
-  // Enqueue one task. Thread-safe; may be called from worker threads (the
-  // task then lands on the calling worker's own deque).
-  void submit(Task task);
-
-  // Block until every submitted task has finished. Safe to reuse the pool
-  // afterwards. Must not be called from a worker thread.
-  void wait_idle();
-
-  // Run fn(0), ..., fn(count - 1) across the pool and wait for completion.
-  // Iterations start in increasing index order (each free worker claims the
-  // next index), though they may finish in any order; callers must make
-  // iterations independent and write results into per-index slots.
+  // Runs fn(0), ..., fn(count - 1) across the pool and waits for all of
+  // them. Iterations start in increasing index order, though they may
+  // finish in any order; callers must make iterations independent and write
+  // results into per-index slots. Every index runs even when one throws;
+  // the first exception thrown is then rethrown here. Calls from different
+  // threads run one after another; a call from inside one of this pool's
+  // iterations is refused (std::logic_error).
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
 
  private:
-  struct Queue {
-    std::mutex mu;
-    std::deque<Task> tasks;
-  };
+  void worker_loop();
+  // Claims and runs indices of the current loop until none is left.
+  void run_indices();
 
-  void worker_loop(std::size_t me);
-  bool try_pop(std::size_t me, Task& out);
+  int size_;
+  std::mutex call_mu_;  // one loop at a time
 
-  std::vector<std::unique_ptr<Queue>> queues_;
-  std::vector<std::thread> workers_;
+  // The current loop. Written by parallel_for before it bumps generation_;
+  // workers read them after seeing the new generation under mu_.
+  const std::function<void(std::size_t)>* fn_ = nullptr;
+  std::size_t count_ = 0;
+  std::atomic<std::size_t> next_{0};
 
-  std::mutex idle_mu_;
-  std::condition_variable work_cv_;   // workers wait here for new tasks
-  std::condition_variable idle_cv_;   // wait_idle() waits here
-  std::size_t pending_ = 0;           // submitted but not yet finished
-  std::size_t queued_ = 0;            // submitted but not yet popped
-  std::size_t next_queue_ = 0;        // round-robin cursor for external submits
+  std::mutex mu_;
+  std::condition_variable work_cv_;  // workers wait here for the next loop
+  std::condition_variable done_cv_;  // parallel_for waits here for the workers
+  std::size_t generation_ = 0;       // loops handed out so far
+  std::size_t busy_ = 0;             // workers still in the current loop
+  std::exception_ptr failure_;       // the loop's first exception
   bool stop_ = false;
+
+  std::vector<std::thread> workers_;  // last: the workers use every member above
 };
 
 }  // namespace synccount::util

@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "boosting/boosted_counter.hpp"
 #include "boosting/leader_split_adversary.hpp"
 #include "boosting/planner.hpp"
 #include "counting/trivial.hpp"
+#include "pulling/pulling_counter.hpp"
 #include "sim/adversaries.hpp"
 #include "sim/faults.hpp"
 #include "sim/runner.hpp"
@@ -370,14 +372,26 @@ TEST(LeaderSplitAdversary, BoundHoldsOnRecursiveInstance) {
 }
 
 TEST(StateWithOutput, BuildsStatesWithRequestedOutputs) {
-  const auto algo = make_4_1(8);
-  for (std::uint64_t target = 0; target < 8; ++target) {
-    const State s = algo->state_with_output(0, target);
-    EXPECT_EQ(algo->output(0, s), target);
-    // The state is canonical (usable as a forged message).
-    EXPECT_EQ(algo->canonicalize(s), s);
+  // A pulling level shares the boosting level's state layout, so it builds
+  // the same states in O(1).
+  pulling::PullParams p;
+  p.k = 4;
+  p.F = 1;
+  p.C = 8;
+  p.sample_size = 8;
+  const std::vector<counting::AlgorithmPtr> levels = {
+      make_4_1(8),
+      std::make_shared<pulling::PullingBoostedCounter>(
+          std::make_shared<counting::TrivialCounter>(2304), p)};
+  for (const counting::AlgorithmPtr& algo : levels) {
+    for (std::uint64_t target = 0; target < 8; ++target) {
+      const State s = algo->state_with_output(0, target);
+      EXPECT_EQ(algo->output(0, s), target) << algo->name();
+      // The state is canonical (usable as a forged message).
+      EXPECT_EQ(algo->canonicalize(s), s) << algo->name();
+    }
+    EXPECT_THROW(algo->state_with_output(0, 8), std::invalid_argument) << algo->name();
   }
-  EXPECT_THROW(algo->state_with_output(0, 8), std::invalid_argument);
 }
 
 TEST(StateWithOutput, DefaultScanWorksForTables) {

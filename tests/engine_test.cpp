@@ -59,14 +59,68 @@ TEST(ThreadPool, ReusableAcrossBatches) {
   EXPECT_EQ(count.load(), 100);
 }
 
-TEST(ThreadPool, SubmitAndWaitIdle) {
-  util::ThreadPool pool(2);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.submit([&] { count.fetch_add(1); });
+TEST(ThreadPool, ThrowingIterationReachesCallerAfterEveryIndexRan) {
+  for (const int threads : {1, 3}) {
+    util::ThreadPool pool(threads);
+    std::vector<std::atomic<int>> hits(40);
+    try {
+      pool.parallel_for(hits.size(), [&](std::size_t i) {
+        hits[i].fetch_add(1);
+        if (i == 5) throw std::runtime_error("iteration 5");
+      });
+      ADD_FAILURE() << "no exception on " << threads << " threads";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "iteration 5");
+    }
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << threads << " threads";
+    // The pool stays usable after a failed loop.
+    std::atomic<int> count{0};
+    pool.parallel_for(10, [&](std::size_t) { count.fetch_add(1); });
+    EXPECT_EQ(count.load(), 10);
   }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 50);
+}
+
+TEST(ThreadPool, PoolOfOneRunsOnTheCaller) {
+  util::ThreadPool pool(1);
+  EXPECT_EQ(pool.size(), 1);
+  std::set<std::thread::id> ids;
+  pool.parallel_for(8, [&](std::size_t) { ids.insert(std::this_thread::get_id()); });
+  EXPECT_EQ(ids, std::set<std::thread::id>{std::this_thread::get_id()});
+}
+
+TEST(ThreadPool, RefusesACallFromInsideAnIteration) {
+  for (const int threads : {1, 2}) {
+    util::ThreadPool pool(threads);
+    EXPECT_THROW(pool.parallel_for(2, [&](std::size_t) { pool.parallel_for(2, [](std::size_t) {}); }),
+                 std::logic_error)
+        << threads << " threads";
+  }
+}
+
+TEST(ThreadPool, CallsFromTwoThreadsRunOneAfterAnother) {
+  util::ThreadPool pool(2);
+  std::atomic<int> open_loops{0};
+  std::atomic<bool> overlapped{false};
+  std::atomic<int> count{0};
+  const auto loop = [&] {
+    for (int rep = 0; rep < 20; ++rep) {
+      std::atomic<int> running{0};
+      pool.parallel_for(4, [&](std::size_t i) {
+        if (i == 0 && open_loops.fetch_add(1) != 0) overlapped = true;
+        running.fetch_add(1);
+        count.fetch_add(1);
+        if (i == 0) {
+          eventually([&] { return running.load() == 4; });
+          open_loops.fetch_sub(1);
+        }
+      });
+    }
+  };
+  std::thread other(loop);
+  loop();
+  other.join();
+  EXPECT_FALSE(overlapped.load());
+  EXPECT_EQ(count.load(), 2 * 20 * 4);
 }
 
 TEST(ThreadPool, ParallelForStartsIndicesInOrder) {

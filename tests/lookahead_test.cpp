@@ -200,6 +200,7 @@ struct GoldenCase {
 // max_pulls_per_round, avg_pulls_per_round, outputs_fnv, states_fnv.
 std::vector<GoldenCase> golden_cases() {
   const auto fixed = pulling::SamplingMode::kFixed;
+  const auto fresh = pulling::SamplingMode::kFresh;
   return {
       {"practical(2)/spread",
        practical(2),
@@ -265,6 +266,28 @@ std::vector<GoldenCase> golden_cases() {
         {1, 200, 199, 1, 1, false, 37, 37, 0x0319a458125c8ca1ULL, 0xc0218927b1f8ce01ULL},
         {2, 200, 200, 0, 1, false, 37, 37, 0x155ffe9f678f0288ULL, 0xf855669e5d229c40ULL},
         {3, 200, 200, 0, 2, false, 37, 37, 0x6ee6cd2422532462ULL, 0x4031bb579d696be9ULL},
+       }},
+      // Fresh sampling, one and two pulling levels: recorded before the
+      // pulling level shared boosting::BoostingLevel and voted through
+      // boosting::strict_majority. The composed backend switched majorities
+      // with it, so the backend-vs-backend suites alone cannot pin this path.
+      {"pulling-fresh/spread",
+       pulling::build_pulling_practical(2, 10, 8, fresh),
+       sim::faults_spread(12, 2),
+       200,
+       {
+        {1, 200, 199, 1, 9, false, 37, 37, 0x7b948ab3e1949141ULL, 0xe258923ead082a91ULL},
+        {2, 200, 199, 1, 7, false, 37, 37, 0x426f2487d663d44aULL, 0x3d3ea32d4cb7a2a1ULL},
+        {3, 200, 200, 0, 9, false, 37, 37, 0x38b0ba810bd8a988ULL, 0x7385df02c340a2aeULL},
+       }},
+      {"two-pulling-fresh/spread",
+       pulling::build_pulling_practical(2, 10, 8, fresh, 0x5eedULL, 2),
+       sim::faults_spread(12, 2),
+       200,
+       {
+        {1, 200, 200, 0, 3, false, 79, 79, 0x01f860571dc68ac7ULL, 0xbc3379d3544506b5ULL},
+        {2, 200, 200, 0, 5, false, 79, 79, 0xcf0ded226124f84bULL, 0x5b4e0f0d194dd004ULL},
+        {3, 200, 199, 1, 3, false, 79, 79, 0x9fdc60dde3d7b7c8ULL, 0x4f7d7f0258d0fd7cULL},
        }},
   };
 }
